@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   std::size_t jobs = 0;    // 0 = serial only, no parallel pass
   std::size_t repeat = 1;  // timed serial runs per row (--repeat)
   std::string upto;        // stop after the first entry matching this prefix
-  std::string json_path = "BENCH_table1.json";
+  std::string json_path;    // --json FILE; default depends on --quick
   std::string trace_path;  // --trace: JSONL capture of one extra run per row
   bool history = false;    // --append-history: one JSONL entry per run
   std::string history_path = "BENCH_history.jsonl";
@@ -65,6 +65,11 @@ int main(int argc, char** argv) {
                    "[--append-history [FILE]]\n";
       return 2;
     }
+  }
+
+  // A --quick run must not overwrite the committed full-suite baseline.
+  if (json_path.empty()) {
+    json_path = quick ? "BENCH_table1.quick.json" : "BENCH_table1.json";
   }
 
   // --trace: every row gets one *extra* run with the sink installed (the

@@ -1,17 +1,9 @@
 #include "analysis/learning.hpp"
 
 #include <algorithm>
-#include <unordered_set>
+#include <cstdint>
 
 namespace waveck {
-namespace {
-
-std::uint64_t pair_key(NetId y, bool v, NetId x, bool w) {
-  return (std::uint64_t{y.value()} << 33) | (std::uint64_t{v} << 32) |
-         (std::uint64_t{x.value()} << 1) | std::uint64_t{w};
-}
-
-}  // namespace
 
 LearningResult learn_implications(const Circuit& c,
                                   const LearningOptions& opt) {
@@ -19,44 +11,63 @@ LearningResult learn_implications(const Circuit& c,
   if (c.num_nets() > opt.max_nets) return res;
 
   ConstraintSystem cs(c);
-  std::unordered_set<std::uint64_t> seen;
-  // Large circuits learn ~10^6 pairs; pre-sizing avoids the rehash churn.
-  seen.reserve(std::min<std::size_t>(opt.max_implications, 1u << 20));
+  std::vector<ImplicationTable::Implication> found;  // discovery order
+  // Literals (2*net+class) each probe collapsed, sorted per probe: probe
+  // literal p owns collapsed[probe_start[p] .. probe_start[p + 1]). Probes
+  // run in literal order, so every earlier probe's range is final.
+  std::vector<std::uint32_t> collapsed;
+  std::vector<std::size_t> probe_start(2 * c.num_nets() + 1, 0);
+  const auto literal = [](NetId n, bool cls) {
+    return static_cast<std::uint32_t>(ImplicationTable::literal(n, cls));
+  };
 
   for (NetId y : c.all_nets()) {
-    if (res.table.size() >= opt.max_implications) break;
+    if (found.size() >= opt.max_implications) break;
     for (int v = 0; v <= 1; ++v) {
       const bool vy = v != 0;
+      const std::uint32_t p = literal(y, vy);
       const auto mark = cs.push_state();
       cs.restrict_domain(y, AbstractSignal::class_only(vy));
       const auto status = cs.reach_fixpoint();
       if (status == ConstraintSystem::Status::kNoViolation) {
         res.impossible.emplace_back(y, vy);
-        cs.pop_to(mark);
-        continue;
-      }
-      // Every collapsed net is an implication target. (y itself collapsed
-      // trivially; skip it.) Only nets touched by the propagation need
-      // scanning; the trail suffix is read in place.
-      for (std::size_t i = mark; i < cs.trail_size(); ++i) {
-        const NetId x = cs.trail_net(i);
-        if (x == y) continue;
-        const AbstractSignal& d = cs.domain(x);
-        if (!d.single_class()) continue;
-        const bool wx = d.the_class();
-        if (seen.insert(pair_key(y, vy, x, wx)).second) {
-          res.table.add(y, vy, x, wx);
+      } else {
+        // Every collapsed net is an implication target. (y itself collapsed
+        // trivially; skip it.) Only nets touched by the propagation need
+        // scanning; the trail suffix holds each once and is read in place.
+        for (std::size_t i = mark; i < cs.trail_size(); ++i) {
+          const NetId x = cs.trail_net(i);
+          if (x == y) continue;
+          const AbstractSignal& d = cs.domain(x);
+          if (!d.single_class()) continue;
+          const bool wx = d.the_class();
+          if (opt.contrapositives) {
+            collapsed.push_back(literal(x, wx));
+            // (y=v => x=w) and its contrapositive are both already recorded
+            // iff the earlier probe x=!w found y=!v: it stored them the other
+            // way round. Nothing else can record either pair.
+            const std::uint32_t q = literal(x, !wx);
+            if (q < p && std::binary_search(
+                             collapsed.begin() + probe_start[q],
+                             collapsed.begin() + probe_start[q + 1],
+                             literal(y, !vy))) {
+              continue;
+            }
+          }
+          found.push_back({y, vy, {x, wx}});
           ++res.direct;
+          if (opt.contrapositives) {
+            found.push_back({x, !wx, {y, !vy}});
+            ++res.contrapositive;
+          }
         }
-        if (opt.contrapositives &&
-            seen.insert(pair_key(x, !wx, y, !vy)).second) {
-          res.table.add(x, !wx, y, !vy);
-          ++res.contrapositive;
-        }
+        std::sort(collapsed.begin() + probe_start[p], collapsed.end());
       }
+      probe_start[p + 1] = collapsed.size();
       cs.pop_to(mark);
     }
   }
+  res.table = ImplicationTable(c.num_nets(), found);
   return res;
 }
 

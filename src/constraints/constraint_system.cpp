@@ -9,6 +9,22 @@
 
 namespace waveck {
 
+ImplicationTable::ImplicationTable(std::size_t num_nets,
+                                   std::span<const Implication> implications)
+    : offsets_(2 * num_nets + 1, 0), consequences_(implications.size()) {
+  for (const Implication& i : implications) {
+    ++offsets_[literal(i.net, i.cls) + 1];
+  }
+  for (std::size_t l = 1; l < offsets_.size(); ++l) {
+    offsets_[l] += offsets_[l - 1];
+  }
+  // Stable placement: the next free slot of each literal's block.
+  std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for (const Implication& i : implications) {
+    consequences_[cursor[literal(i.net, i.cls)]++] = i.then;
+  }
+}
+
 ConstraintSystem::ConstraintSystem(const Circuit& circuit)
     : circuit_(circuit),
       domains_(circuit.num_nets()),

@@ -23,7 +23,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "common/bitplane.hpp"
@@ -36,31 +36,45 @@
 
 namespace waveck {
 
-/// Class implications (y = v) => (x = w), stored per (net, class).
+/// Class implications (y = v) => (x = w), stored per literal 2*net+class in
+/// CSR form: `offsets_[l]..offsets_[l+1]` indexes the consequences of
+/// literal l in one flat array. Built once from the implications in
+/// discovery order and immutable afterwards, so concurrent readers (the
+/// scheduler's and the daemon's workers) need no synchronisation.
 class ImplicationTable {
  public:
   struct Consequence {
     NetId net;
     bool cls;
   };
+  struct Implication {
+    NetId net;  // antecedent y = cls
+    bool cls;
+    Consequence then;
+  };
 
-  void add(NetId y, bool v, NetId x, bool w) {
-    table_[key(y, v)].push_back({x, w});
-    ++size_;
+  ImplicationTable() = default;
+  /// Groups `implications` by antecedent with one stable counting sort:
+  /// each literal keeps its consequences in the order given. Every net must
+  /// be below `num_nets`.
+  ImplicationTable(std::size_t num_nets,
+                   std::span<const Implication> implications);
+
+  [[nodiscard]] std::span<const Consequence> of(NetId y, bool v) const {
+    const std::size_t l = literal(y, v);
+    if (l + 1 >= offsets_.size()) return {};
+    return {consequences_.data() + offsets_[l],
+            consequences_.data() + offsets_[l + 1]};
   }
-  [[nodiscard]] const std::vector<Consequence>& of(NetId y, bool v) const {
-    static const std::vector<Consequence> kEmpty;
-    const auto it = table_.find(key(y, v));
-    return it == table_.end() ? kEmpty : it->second;
+  [[nodiscard]] std::size_t size() const { return consequences_.size(); }
+
+  [[nodiscard]] static std::size_t literal(NetId y, bool v) {
+    return 2 * std::size_t{y.value()} + (v ? 1 : 0);
   }
-  [[nodiscard]] std::size_t size() const { return size_; }
 
  private:
-  static std::uint64_t key(NetId y, bool v) {
-    return (std::uint64_t{y.value()} << 1) | (v ? 1 : 0);
-  }
-  std::unordered_map<std::uint64_t, std::vector<Consequence>> table_;
-  std::size_t size_ = 0;
+  std::vector<std::size_t> offsets_;  // 2 * num_nets + 1, or empty
+  std::vector<Consequence> consequences_;
 };
 
 class ConstraintSystem final : private CommitSink {

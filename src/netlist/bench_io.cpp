@@ -62,6 +62,7 @@ Circuit read_bench(std::istream& is, std::string name) {
   Circuit c(std::move(name));
   std::string line;
   int lineno = 0;
+  bool any_output = false;
   const std::string fname = c.name();
   while (std::getline(is, line)) {
     ++lineno;
@@ -82,10 +83,18 @@ Circuit read_bench(std::istream& is, std::string name) {
       const std::string net = strip(line.substr(open + 1, close - open - 1));
       if (net.empty()) throw ParseError(fname, lineno, "empty net name");
       const NetId id = c.net_by_name_or_add(net);
-      if (u.rfind("INPUT", 0) == 0) {
+      const bool input = u.rfind("INPUT", 0) == 0;
+      const Net& n = c.net(id);
+      if (input ? n.is_primary_input : n.is_primary_output) {
+        throw ParseError(fname, lineno,
+                         std::string("duplicate ") +
+                             (input ? "INPUT(" : "OUTPUT(") + net + ")");
+      }
+      if (input) {
         c.declare_input(id);
       } else {
         c.declare_output(id);
+        any_output = true;
       }
       continue;
     }
@@ -127,6 +136,9 @@ Circuit read_bench(std::istream& is, std::string name) {
       throw ParseError(fname, lineno, e.what());
     }
   }
+  // An empty netlist (or one with nothing observable) would make every
+  // check vacuously pass.
+  if (!any_output) throw ParseError(fname, lineno, "no OUTPUT declared");
   c.finalize();
   return c;
 }

@@ -18,7 +18,8 @@
 namespace waveck {
 
 /// Parses a `.bench` netlist. `name` labels the resulting circuit (used in
-/// reports). Throws ParseError / CircuitError on malformed input. The
+/// reports). Throws ParseError / CircuitError on malformed input, including
+/// a repeated INPUT or OUTPUT declaration and a netlist with no OUTPUT. The
 /// returned circuit is finalized.
 [[nodiscard]] Circuit read_bench(std::istream& is, std::string name = "bench");
 [[nodiscard]] Circuit read_bench_string(const std::string& text,

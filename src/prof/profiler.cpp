@@ -17,6 +17,7 @@
 #include <execinfo.h>
 #include <signal.h>
 #include <sys/time.h>
+#include <ucontext.h>
 #endif
 
 namespace waveck::prof {
@@ -30,6 +31,7 @@ struct Record {
   const char* stage;
   const char* check;
   std::int32_t depth;
+  std::int32_t first_app;  // first frame below the signal prologue
   std::int32_t worker;
 };
 
@@ -45,13 +47,38 @@ std::uint32_t g_hz = 0;
 #ifdef __linux__
 struct sigaction g_prev_action {};
 
-extern "C" void waveck_sigprof_handler(int) {
+/// The interrupted instruction, read from the signal context (null where
+/// the register layout is unknown).
+void* interrupted_pc(const void* context) {
+  const auto* uc = static_cast<const ucontext_t*>(context);
+#if defined(__x86_64__)
+  return reinterpret_cast<void*>(uc->uc_mcontext.gregs[REG_RIP]);
+#elif defined(__aarch64__)
+  return reinterpret_cast<void*>(uc->uc_mcontext.pc);
+#else
+  (void)uc;
+  return nullptr;
+#endif
+}
+
+extern "C" void waveck_sigprof_handler(int, siginfo_t*, void* context) {
   const int saved_errno = errno;
   if (g_armed.load(std::memory_order_relaxed)) {
     const std::size_t i = g_cursor.fetch_add(1, std::memory_order_relaxed);
     if (i < g_capacity) {
       Record& r = g_records[i];
       r.depth = backtrace(r.pc, kMaxFrames);
+      // Frame 0 is this handler and frame 1 the kernel's sigreturn
+      // trampoline; the sampled code starts at the frame holding the
+      // interrupted pc. Without that pc, drop the two prologue frames.
+      const void* leaf = interrupted_pc(context);
+      r.first_app = std::min(2, r.depth - 1);
+      for (int f = 0; leaf != nullptr && f < r.depth; ++f) {
+        if (r.pc[f] == leaf) {
+          r.first_app = f;
+          break;
+        }
+      }
       r.stage = telemetry::stage_mark();
       r.check = telemetry::check_mark();
       r.worker = telemetry::worker_id();
@@ -124,8 +151,8 @@ bool SamplingProfiler::start(const ProfilerOptions& opt, std::string* error) {
   backtrace(prime, 2);
 
   struct sigaction sa {};
-  sa.sa_handler = waveck_sigprof_handler;
-  sa.sa_flags = SA_RESTART;
+  sa.sa_sigaction = waveck_sigprof_handler;
+  sa.sa_flags = SA_RESTART | SA_SIGINFO;
   sigemptyset(&sa.sa_mask);
   if (sigaction(SIGPROF, &sa, &g_prev_action) != 0) {
     if (error != nullptr) *error = std::strerror(errno);
@@ -173,19 +200,10 @@ ProfileReport SamplingProfiler::stop() {
   for (std::size_t i = 0; i < n; ++i) {
     const Record& r = g_records[i];
     if (r.depth <= 0) continue;
-    // Trim the signal prologue: frame 0 is the handler itself, frame 1 the
-    // kernel trampoline (__restore_rt). Search a few frames in case of
-    // inlining differences, fall back to dropping the first two.
-    int first_app = std::min(2, r.depth - 1);
+    const int first_app = r.first_app;
     char** symbols = backtrace_symbols(const_cast<void* const*>(r.pc),
                                        r.depth);
     if (symbols == nullptr) continue;
-    for (int f = 0; f < std::min(4, r.depth); ++f) {
-      if (std::strstr(symbols[f], "__restore_rt") != nullptr ||
-          std::strstr(symbols[f], "sigprof_handler") != nullptr) {
-        first_app = std::min(f + 1, r.depth - 1);
-      }
-    }
     std::string key;
     if (r.check != nullptr) {
       key += "check:";

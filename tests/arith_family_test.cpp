@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "gen/generators.hpp"
 #include "netlist/topo_delay.hpp"
 #include "sim/floating_sim.hpp"
@@ -25,8 +28,11 @@ std::uint64_t read_word(const Circuit& c, const FloatingResult& r,
   return v;
 }
 
+// The architecture is held as a std::string, not a const char*: gtest prints
+// a parameter into the discovered ctest name, and a pointer's address changes
+// from run to run.
 class AdderArchitectures
-    : public ::testing::TestWithParam<std::tuple<const char*, unsigned>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, unsigned>> {
  public:
   static Circuit build(const std::string& kind, unsigned bits) {
     if (kind == "ripple") return gen::ripple_carry_adder(bits);
@@ -62,7 +68,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("ripple", "skip", "select", "ks"),
                        ::testing::Values(4u, 8u)),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_" +
+      return std::get<0>(info.param) + "_" +
              std::to_string(std::get<1>(info.param));
     });
 

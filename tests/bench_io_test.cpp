@@ -127,6 +127,46 @@ TEST(BenchIo, RoundTripSuiteCircuitsAtScale) {
   }
 }
 
+TEST(BenchIo, RejectsNetlistWithoutOutputs) {
+  for (const char* text : {"", "# only a comment\n\n", "INPUT(a)\n"}) {
+    try {
+      (void)read_bench_string(text, "empty.bench");
+      FAIL() << "expected ParseError for \"" << text << "\"";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("empty.bench:"), std::string::npos);
+      EXPECT_NE(std::string(e.what()).find("no OUTPUT declared"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(BenchIo, RejectsDuplicateDeclarations) {
+  const struct {
+    const char* text;
+    int line;
+    const char* what;
+  } cases[] = {
+      {"INPUT(a)\nINPUT(a)\nOUTPUT(z)\nz = NOT(a)\n", 2, "duplicate INPUT(a)"},
+      {"INPUT(a)\nOUTPUT(z)\nz = NOT(a)\noutput(z)\n", 4,
+       "duplicate OUTPUT(z)"},
+  };
+  for (const auto& tc : cases) {
+    try {
+      (void)read_bench_string(tc.text, "dup.bench");
+      FAIL() << "expected ParseError for " << tc.what;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), tc.line) << e.what();
+      EXPECT_EQ(std::string(e.what()),
+                "dup.bench:" + std::to_string(tc.line) + ": " + tc.what);
+    }
+  }
+  // A net that is both an input and an output is still one declaration each.
+  const Circuit c = read_bench_string("INPUT(a)\nOUTPUT(a)\n");
+  EXPECT_EQ(c.inputs().size(), 1u);
+  EXPECT_EQ(c.outputs().size(), 1u);
+}
+
 TEST(BenchIo, ParseErrorCarriesLineNumber) {
   try {
     read_bench_string("INPUT(a)\nOUTPUT(z)\nz = FROB(a)\n");

@@ -170,9 +170,10 @@ TEST(ConstraintSystem, BackwardClassPropagation) {
 
 TEST(ConstraintSystem, ImplicationTableFires) {
   const Circuit c = and_not_chain();
-  ImplicationTable table;
   // Artificial implication: a=1 => b=0.
-  table.add(*c.find_net("a"), true, *c.find_net("b"), false);
+  const ImplicationTable::Implication a1_b0{
+      *c.find_net("a"), true, {*c.find_net("b"), false}};
+  const ImplicationTable table(c.num_nets(), {&a1_b0, 1});
   ConstraintSystem cs(c);
   cs.set_implications(&table);
   cs.restrict_domain(*c.find_net("a"), AbstractSignal::class_only(true));

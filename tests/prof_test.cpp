@@ -30,6 +30,15 @@
 #include "verify/report_io.hpp"
 #include "verify/verifier.hpp"
 
+// The CPU-bound leaf of Profiler.LeafFrameIsTheSampledFunction. External
+// linkage (exported through -rdynamic) and no inlining, so its samples
+// symbolize to its own name.
+extern "C" __attribute__((noinline)) double waveck_prof_test_spin(double acc,
+                                                                 int n) {
+  for (int i = 0; i < n; ++i) acc = acc * 1.0000001 + 0.5;
+  return acc;
+}
+
 namespace waveck {
 namespace {
 
@@ -336,6 +345,45 @@ TEST(Profiler, SmokeCapturesAnnotatedStacks) {
   EXPECT_NE(rep.speedscope_json.find("stage:narrowing"), std::string::npos);
   EXPECT_NE(rep.speedscope_json.find("\"type\":\"sampled\""),
             std::string::npos);
+}
+
+TEST(Profiler, LeafFrameIsTheSampledFunction) {
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "sanitizer runtimes intercept SIGPROF";
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+  GTEST_SKIP() << "sanitizer runtimes intercept SIGPROF";
+#endif
+#endif
+  auto& p = prof::SamplingProfiler::instance();
+  std::string err;
+  ASSERT_TRUE(p.start({.hz = 997, .max_samples = 1u << 14}, &err)) << err;
+  volatile double acc = 1.0;
+  const std::clock_t t0 = std::clock();
+  while (std::clock() - t0 < static_cast<std::clock_t>(0.4 * CLOCKS_PER_SEC)) {
+    acc = waveck_prof_test_spin(acc, 1 << 20);
+  }
+  const prof::ProfileReport rep = p.stop();
+
+  // Folded lines are "root;...;leaf count": the signal handler and the
+  // sigreturn trampoline must be trimmed, so the leaf is the loop itself.
+  std::uint64_t total = 0, in_spin = 0;
+  std::istringstream lines(rep.folded);
+  std::string line;
+  while (std::getline(lines, line)) {
+    const std::size_t space = line.rfind(' ');
+    ASSERT_NE(space, std::string::npos) << line;
+    const std::uint64_t count = std::stoull(line.substr(space + 1));
+    const std::size_t semi = line.rfind(';', space);
+    const std::string leaf = line.substr(
+        semi == std::string::npos ? 0 : semi + 1,
+        space - (semi == std::string::npos ? 0 : semi + 1));
+    total += count;
+    if (leaf == "waveck_prof_test_spin") in_spin += count;
+  }
+  ASSERT_GT(total, 10u);
+  EXPECT_GE(static_cast<double>(in_spin), 0.9 * static_cast<double>(total))
+      << rep.folded;
 }
 
 TEST(Profiler, DoubleStartRefused) {

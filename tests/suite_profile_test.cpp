@@ -5,6 +5,8 @@
 // wall-clock short.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "gen/iscas_suite.hpp"
 #include "netlist/topo_delay.hpp"
 #include "verify/verifier.hpp"
@@ -18,6 +20,13 @@ struct Expectation {
   // "sta" (exact == top: nothing to prove), "narrow", "gitd", "stem".
   const char* closes;
 };
+
+// Prints the contents, not the raw bytes: gtest puts the printed parameter
+// into the discovered ctest name, and the bytes of a const char* are an
+// address that changes from run to run.
+void PrintTo(const Expectation& e, std::ostream* os) {
+  *os << "{" << e.name << ", " << e.closes << "}";
+}
 
 class SuiteProfile : public ::testing::TestWithParam<Expectation> {};
 

@@ -5,7 +5,6 @@
 #include <array>
 
 #include "constraints/constraint_system.hpp"
-#include "constraints/level_kernel.hpp"
 #include "constraints/projection.hpp"
 #include "gen/builder.hpp"
 #include "gen/generators.hpp"
@@ -113,12 +112,11 @@ void BM_FixpointNorC17(benchmark::State& state) {
 }
 BENCHMARK(BM_FixpointNorC17);
 
-// ----- level-sweep kernels: scalar vs SIMD on synthetic wide levels --------
-// One wide level of independent same-arity gates over a small shared input
-// pool: the constraint system drains it as a handful of kernel runs, so the
-// measured cost is almost purely the batched projection kernel. Reported as
-// ns per gate evaluation (items == gate evals); run with WAVECK_SIMD=0 to
-// get the scalar twin's numbers from the same binary.
+// ----- level sweeps on synthetic wide levels ---------------------------------
+// One wide level of independent gates over a small shared input pool: the
+// constraint system drains it in a handful of level sweeps, so the measured
+// cost is almost purely the per-gate projection and its commits. Reported
+// as ns per gate evaluation (items == gate evals).
 Circuit wide_level_circuit(GateType type, unsigned arity, unsigned gates) {
   gen::detail::Builder b("wide_level");
   std::vector<NetId> pool;
@@ -137,54 +135,38 @@ Circuit wide_level_circuit(GateType type, unsigned arity, unsigned gates) {
   return std::move(b.c);
 }
 
-void run_level_sweep(benchmark::State& state, GateType type, bool simd) {
-  const unsigned arity = static_cast<unsigned>(state.range(0));
-  const Circuit c = wide_level_circuit(type, arity, 256);
-  const bool prior = simd_enabled();
-  if (simd && !simd_supported()) {
-    state.SkipWithError("AVX2 kernels unavailable on this host/build");
-    return;
-  }
-  set_simd_enabled(simd);
+void run_level_sweep(benchmark::State& state, const Circuit& c) {
   std::uint64_t evals = 0;
   for (auto _ : state) {
     ConstraintSystem cs(c);
     for (NetId in : c.inputs()) {
       cs.restrict_domain(in, AbstractSignal::floating_input());
     }
+    // δ inside the [8, 12] gate delay: every gate narrows forward and
+    // backward, where δ above 12 would empty the first output evaluated.
     for (NetId out : c.outputs()) {
-      cs.restrict_domain(out, AbstractSignal::violating(Time(15)));
+      cs.restrict_domain(out, AbstractSignal::violating(Time(10)));
     }
     cs.schedule_all();
     benchmark::DoNotOptimize(cs.reach_fixpoint());
     evals += cs.applications();
   }
-  set_simd_enabled(prior);
   state.SetItemsProcessed(static_cast<int64_t>(evals));
 }
 
-void BM_LevelSweepAndScalar(benchmark::State& state) {
-  run_level_sweep(state, GateType::kAnd, false);
+void BM_LevelSweepAnd(benchmark::State& state) {
+  const auto arity = static_cast<unsigned>(state.range(0));
+  run_level_sweep(state, wide_level_circuit(GateType::kAnd, arity, 256));
 }
-void BM_LevelSweepAndSimd(benchmark::State& state) {
-  run_level_sweep(state, GateType::kAnd, true);
+void BM_LevelSweepNor(benchmark::State& state) {
+  const auto arity = static_cast<unsigned>(state.range(0));
+  run_level_sweep(state, wide_level_circuit(GateType::kNor, arity, 256));
 }
-void BM_LevelSweepNorScalar(benchmark::State& state) {
-  run_level_sweep(state, GateType::kNor, false);
-}
-void BM_LevelSweepNorSimd(benchmark::State& state) {
-  run_level_sweep(state, GateType::kNor, true);
-}
-BENCHMARK(BM_LevelSweepAndScalar)->Arg(2)->Arg(3)->Arg(4)->Arg(5);
-BENCHMARK(BM_LevelSweepAndSimd)->Arg(2)->Arg(3)->Arg(4)->Arg(5);
-BENCHMARK(BM_LevelSweepNorScalar)->Arg(2)->Arg(3)->Arg(4)->Arg(5);
-BENCHMARK(BM_LevelSweepNorSimd)->Arg(2)->Arg(3)->Arg(4)->Arg(5);
+BENCHMARK(BM_LevelSweepAnd)->Arg(2)->Arg(3)->Arg(4)->Arg(5);
+BENCHMARK(BM_LevelSweepNor)->Arg(2)->Arg(3)->Arg(4)->Arg(5);
 
-// Mixed gate classes in one level: exercises run segmentation (several
-// (type, arity) runs per sweep) and the unary kernel alongside the
-// controlling one.
+// Mixed gate classes and arities in one level.
 void BM_LevelSweepMixed(benchmark::State& state) {
-  const bool simd = state.range(0) != 0;
   gen::detail::Builder b("mixed_level");
   std::vector<NetId> pool;
   for (unsigned i = 0; i < 12; ++i) {
@@ -203,30 +185,9 @@ void BM_LevelSweepMixed(benchmark::State& state) {
   }
   b.c.set_uniform_delay(DelaySpec(8, 12));
   b.c.finalize();
-  const Circuit& c = b.c;
-  const bool prior = simd_enabled();
-  if (simd && !simd_supported()) {
-    state.SkipWithError("AVX2 kernels unavailable on this host/build");
-    return;
-  }
-  set_simd_enabled(simd);
-  std::uint64_t evals = 0;
-  for (auto _ : state) {
-    ConstraintSystem cs(c);
-    for (NetId in : c.inputs()) {
-      cs.restrict_domain(in, AbstractSignal::floating_input());
-    }
-    for (NetId out : c.outputs()) {
-      cs.restrict_domain(out, AbstractSignal::violating(Time(15)));
-    }
-    cs.schedule_all();
-    benchmark::DoNotOptimize(cs.reach_fixpoint());
-    evals += cs.applications();
-  }
-  set_simd_enabled(prior);
-  state.SetItemsProcessed(static_cast<int64_t>(evals));
+  run_level_sweep(state, b.c);
 }
-BENCHMARK(BM_LevelSweepMixed)->Arg(0)->Arg(1);
+BENCHMARK(BM_LevelSweepMixed);
 
 void BM_TrailPushPop(benchmark::State& state) {
   Circuit c = gen::carry_skip_adder(16, 4);

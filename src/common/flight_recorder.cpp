@@ -87,8 +87,10 @@ void record(Kind kind, std::string_view name, std::int64_t a, std::int64_t b,
   rec.dec = ctx.dec;
   rec.a = a;
   rec.b = b;
+  // An empty name may have a null data(); memcpy from null is UB even for
+  // zero bytes.
   const std::size_t n = std::min(name.size(), kNameCap);
-  std::memcpy(rec.name, name.data(), n);
+  if (n != 0) std::memcpy(rec.name, name.data(), n);
   rec.kind = static_cast<std::uint8_t>(kind);
   rec.aux = aux;
   const int w = telemetry::worker_id();

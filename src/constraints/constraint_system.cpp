@@ -1,9 +1,11 @@
 #include "constraints/constraint_system.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 
 #include "common/flight_recorder.hpp"
+#include "constraints/projection.hpp"
 #include "prof/heartbeat.hpp"
 #include "prof/perf_counters.hpp"
 
@@ -40,10 +42,6 @@ ConstraintSystem::ConstraintSystem(const Circuit& circuit)
           telemetry::Registry::current().counter("fixpoint.gate_evals")),
       ctr_level_sweeps_(
           telemetry::Registry::current().counter("fixpoint.level_sweeps")),
-      ctr_simd_batches_(
-          telemetry::Registry::current().counter("fixpoint.simd_batches")),
-      ctr_scalar_tail_(
-          telemetry::Registry::current().counter("fixpoint.scalar_tail")),
       ctr_perf_cycles_(
           telemetry::Registry::current().counter("perf.fixpoint.cycles")),
       ctr_perf_instructions_(telemetry::Registry::current().counter(
@@ -96,8 +94,7 @@ void ConstraintSystem::save_if_needed(NetId n) {
   epoch = current_epoch_;
 }
 
-void ConstraintSystem::commit_domain(NetId n, const AbstractSignal& value,
-                                     GateId /*source*/) {
+void ConstraintSystem::commit_domain(NetId n, const AbstractSignal& value) {
   const AbstractSignal dom = domains_.get(n);
   const AbstractSignal nd = dom.intersect(value);
   if (nd == dom) return;
@@ -135,14 +132,14 @@ void ConstraintSystem::commit_domain(NetId n, const AbstractSignal& value,
       !was_single) {
     const bool v = nd.the_class();
     for (const auto& [x, w] : implications_->of(n, v)) {
-      commit_domain(x, AbstractSignal::class_only(w), GateId{});
+      commit_domain(x, AbstractSignal::class_only(w));
     }
   }
 }
 
 bool ConstraintSystem::restrict_domain(NetId n, const AbstractSignal& with) {
   const std::uint64_t before = narrowings_;
-  commit_domain(n, with, GateId{});
+  commit_domain(n, with);
   return narrowings_ != before;
 }
 
@@ -190,8 +187,7 @@ bool ConstraintSystem::sweep_level(std::size_t lv,
   const std::uint32_t se = plan_.level_begin[lv + 1];
   // Snapshot and unqueue the level's scheduled slots before evaluating
   // anything: commits during the sweep re-queue gates (same level included)
-  // for the *next* sweep. The word scan yields slots in ascending order,
-  // i.e. already grouped by the plan's (kind, type, arity) runs.
+  // for the *next* sweep.
   sweep_slots_.clear();
   slot_queued_.for_each_set_in_range(sb, se, [&](std::size_t s) {
     sweep_slots_.push_back(static_cast<std::uint32_t>(s));
@@ -203,16 +199,8 @@ bool ConstraintSystem::sweep_level(std::size_t lv,
   slot_queued_.clear_range(sb, se);
   level_count_[lv] = 0;
 
-  const KernelTable& kt = active_kernel_table();
-  const std::size_t nslots = sweep_slots_.size();
-  std::size_t r = plan_.run_begin_of_level[lv];
-  std::size_t i = 0;
-  while (i < nslots) {
-    while (plan_.runs[r].end <= sweep_slots_[i]) ++r;
-    const KernelRun& run = plan_.runs[r];
-    std::size_t j = i + 1;
-    while (j < nslots && sweep_slots_[j] < run.end) ++j;
-    const std::size_t seg = j - i;
+  AbstractSignal* const ins = gate_ins_.data();
+  for (const std::uint32_t s : sweep_slots_) {
     if (applications_ >= next_deadline_check) {
       if (prof::monotonic_ns() >= deadline_ns_) {
         clear_queue();
@@ -221,12 +209,23 @@ bool ConstraintSystem::sweep_level(std::size_t lv,
       }
       next_deadline_check = applications_ + kDeadlineStride;
     }
-    applications_ += seg;
-    kt.fn[static_cast<std::size_t>(run.kind)](domains_, plan_, run,
-                                              sweep_slots_.data() + i, seg,
-                                              *this, kstats_);
+    ++applications_;
+    const NetId onet{plan_.out_net[s]};
+    const std::uint32_t* in_net = plan_.ins_net.data() + plan_.ins_offset[s];
+    const std::size_t arity = plan_.ins_offset[s + 1] - plan_.ins_offset[s];
+    assert(arity <= kMaxGateFanin);
+    AbstractSignal out = domains_.get(onet);
+    for (std::size_t k = 0; k < arity; ++k) {
+      ins[k] = domains_.get(NetId{in_net[k]});
+    }
+    const ProjectionDelta delta =
+        project_gate(plan_.type[s], plan_.delay[s], out,
+                     std::span<AbstractSignal>(ins, arity));
+    if (delta.out_changed) commit_domain(onet, out);
+    for (std::size_t k = 0; k < arity; ++k) {
+      if (delta.in_changed(k)) commit_domain(NetId{in_net[k]}, ins[k]);
+    }
     if (bottom_count_ > 0) return true;  // outer loop clears and concludes
-    i = j;
   }
   return true;
 }
@@ -254,7 +253,6 @@ ConstraintSystem::Status ConstraintSystem::reach_fixpoint() {
   Status status = Status::kPossibleViolation;
   std::size_t peak_queue = queue_size_;
   std::uint64_t sweeps = 0;
-  kstats_ = {};
   // Deadline bookkeeping: one clock read every kDeadlineStride gate
   // applications (and one up front, so an already-expired deadline never
   // starts a drain). A hit clears the queue and latches deadline_hit_; the
@@ -280,8 +278,6 @@ ConstraintSystem::Status ConstraintSystem::reach_fixpoint() {
   ctr_gate_evals_.add(applications_ - apps0);
   ctr_narrowings_.add(narrowings_ - nar0);
   ctr_level_sweeps_.add(sweeps);
-  ctr_simd_batches_.add(kstats_.simd_batches);
-  ctr_scalar_tail_.add(kstats_.scalar_tail);
   if (perf_on) {
     const prof::CounterDelta d =
         prof::delta_between(perf0, prof::thread_counter_group().read());

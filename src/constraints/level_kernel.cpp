@@ -1,140 +1,9 @@
 #include "constraints/level_kernel.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <numeric>
-#include <span>
-#include <tuple>
-
-#include "constraints/level_kernel_impl.hpp"
-#include "constraints/projection.hpp"
 
 namespace waveck {
-
-namespace kern {
-
-/// Exact per-gate fallback: loads the touched signals, runs the scalar
-/// relational projection, and pushes deltas through the sink — byte for
-/// byte what the event-driven engine's apply_gate did.
-void generic_kernel(const SoaDomain& dom, const LevelPlan& plan,
-                    const KernelRun& run, const std::uint32_t* slots,
-                    std::size_t n, CommitSink& sink, KernelStats& stats) {
-  stats.scalar_tail += n;
-  const std::size_t arity = run.arity;
-  assert(arity <= 32 && "projection contract caps gate fanin at 32");
-  AbstractSignal ins[32];
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t s = slots[i];
-    const std::uint32_t onet = plan.out_net[s];
-    AbstractSignal out = dom.get(NetId{onet});
-    const std::uint32_t off = plan.ins_offset[s];
-    for (std::size_t k = 0; k < arity; ++k) {
-      ins[k] = dom.get(NetId{plan.ins_net[off + k]});
-    }
-    DelaySpec d;
-    d.dmin = plan.dmin[s];
-    d.dmax = plan.dmax[s];
-    const ProjectionDelta delta =
-        project_gate(run.type, d, out, std::span<AbstractSignal>(ins, arity));
-    if (delta.out_changed) sink.kernel_commit(NetId{onet}, out);
-    for (std::size_t k = 0; k < arity; ++k) {
-      if (delta.in_changed(k)) {
-        sink.kernel_commit(NetId{plan.ins_net[off + k]}, ins[k]);
-      }
-    }
-    if (sink.kernel_inconsistent()) return;
-  }
-}
-
-/// 4 plain int64 lanes; every op mirrors the AVX2 policy one for one, so
-/// the shared kernel templates compile to structurally identical narrowing.
-/// Masks are all-ones/all-zero words, exactly like vector compare results.
-struct ScalarOps {
-  static constexpr bool kIsSimd = false;
-  struct V {
-    std::int64_t l[4];
-  };
-  static V broadcast(std::int64_t x) { return {{x, x, x, x}}; }
-  static V load4(const std::int64_t* p) { return {{p[0], p[1], p[2], p[3]}}; }
-  static void store4(std::int64_t* p, V v) {
-    for (int i = 0; i < 4; ++i) p[i] = v.l[i];
-  }
-  static V gather(const std::int64_t* base, const std::uint32_t* idx) {
-    return {{base[idx[0]], base[idx[1]], base[idx[2]], base[idx[3]]}};
-  }
-  static V add(V a, V b) {
-    V r;
-    for (int i = 0; i < 4; ++i) r.l[i] = a.l[i] + b.l[i];
-    return r;
-  }
-  static V sub(V a, V b) {
-    V r;
-    for (int i = 0; i < 4; ++i) r.l[i] = a.l[i] - b.l[i];
-    return r;
-  }
-  static V min_(V a, V b) {
-    V r;
-    for (int i = 0; i < 4; ++i) r.l[i] = a.l[i] < b.l[i] ? a.l[i] : b.l[i];
-    return r;
-  }
-  static V max_(V a, V b) {
-    V r;
-    for (int i = 0; i < 4; ++i) r.l[i] = a.l[i] > b.l[i] ? a.l[i] : b.l[i];
-    return r;
-  }
-  static V cmpgt(V a, V b) {
-    V r;
-    for (int i = 0; i < 4; ++i) r.l[i] = a.l[i] > b.l[i] ? -1 : 0;
-    return r;
-  }
-  static V cmpeq(V a, V b) {
-    V r;
-    for (int i = 0; i < 4; ++i) r.l[i] = a.l[i] == b.l[i] ? -1 : 0;
-    return r;
-  }
-  static V and_(V a, V b) {
-    V r;
-    for (int i = 0; i < 4; ++i) r.l[i] = a.l[i] & b.l[i];
-    return r;
-  }
-  static V or_(V a, V b) {
-    V r;
-    for (int i = 0; i < 4; ++i) r.l[i] = a.l[i] | b.l[i];
-    return r;
-  }
-  static V not_(V a) {
-    V r;
-    for (int i = 0; i < 4; ++i) r.l[i] = ~a.l[i];
-    return r;
-  }
-  /// m ? b : a, per lane (m is all-ones/all-zero).
-  static V blend(V a, V b, V m) {
-    V r;
-    for (int i = 0; i < 4; ++i) r.l[i] = (a.l[i] & ~m.l[i]) | (b.l[i] & m.l[i]);
-    return r;
-  }
-};
-
-#ifdef WAVECK_HAVE_AVX2
-// Defined in level_kernel_avx2.cpp (the only -mavx2 translation unit).
-const KernelTable& avx2_kernel_table();
-#endif
-
-}  // namespace kern
-
-namespace {
-
-[[nodiscard]] KernelKind kind_of(GateType t, std::size_t arity) {
-  if (is_unary(t) && arity == 1) return KernelKind::kUnary;
-  if (has_controlling_value(t) && arity >= 1 && arity <= kMaxControllingArity) {
-    return KernelKind::kControlling;
-  }
-  return KernelKind::kGeneric;
-}
-
-}  // namespace
 
 void LevelPlan::build(const Circuit& c,
                       const std::vector<std::uint32_t>& gate_level) {
@@ -144,133 +13,45 @@ void LevelPlan::build(const Circuit& c,
     num_levels = std::max<std::size_t>(num_levels, lv + 1);
   }
 
-  std::vector<std::uint32_t> topo_pos(ng, 0);
-  std::uint32_t p = 0;
-  for (GateId g : c.topo_order()) topo_pos[g.index()] = p++;
-
-  std::vector<std::uint32_t> order(ng);
-  std::iota(order.begin(), order.end(), 0u);
-  const auto key = [&](std::uint32_t gi) {
-    const Gate& g = c.gate(GateId{gi});
-    const std::size_t arity = g.ins.size();
-    return std::tuple(gate_level[gi],
-                      static_cast<std::uint8_t>(kind_of(g.type, arity)),
-                      static_cast<std::uint8_t>(g.type),
-                      static_cast<std::uint32_t>(arity), topo_pos[gi]);
-  };
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t a, std::uint32_t b) { return key(a) < key(b); });
+  // Topological order sorted stably by level: (level, topo position).
+  std::vector<std::uint32_t> order;
+  order.reserve(ng);
+  for (GateId g : c.topo_order()) order.push_back(g.index());
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return gate_level[a] < gate_level[b];
+                   });
 
   slot_of_gate.assign(ng, 0);
-  gate_of_slot = order;
+  type.assign(ng, GateType::kBuf);
+  delay.assign(ng, DelaySpec{});
   out_net.assign(ng, 0);
   ins_offset.assign(ng + 1, 0);
-  dmin.assign(ng, 0);
-  dmax.assign(ng, 0);
   ins_net.clear();
-  runs.clear();
   level_begin.assign(num_levels + 1, 0);
-  run_begin_of_level.assign(num_levels + 1, 0);
 
   for (std::uint32_t s = 0; s < ng; ++s) {
     const std::uint32_t gi = order[s];
     slot_of_gate[gi] = s;
     const Gate& g = c.gate(GateId{gi});
+    type[s] = g.type;
+    delay[s] = g.delay;
     out_net[s] = g.out.value();
     ins_offset[s] = static_cast<std::uint32_t>(ins_net.size());
     for (NetId in : g.ins) ins_net.push_back(in.value());
-    dmin[s] = g.delay.dmin;
-    dmax[s] = g.delay.dmax;
-
-    const std::size_t arity = g.ins.size();
-    const KernelKind kind = kind_of(g.type, arity);
-    const std::uint32_t lv = gate_level[gi];
-    if (runs.empty() || runs.back().type != g.type ||
-        runs.back().arity != arity || runs.back().kind != kind ||
-        gate_level[gate_of_slot[runs.back().begin]] != lv) {
-      runs.push_back({s, s + 1, g.type, static_cast<std::uint32_t>(arity),
-                      kind});
-    } else {
-      runs.back().end = s + 1;
-    }
+    ++level_begin[gate_level[gi] + 1];
   }
   ins_offset[ng] = static_cast<std::uint32_t>(ins_net.size());
-
-  // Level boundaries over slots and runs (slots are level-major).
-  for (std::size_t lv = 0, s = 0, r = 0; lv <= num_levels; ++lv) {
-    while (s < ng && gate_level[gate_of_slot[s]] < lv) ++s;
-    level_begin[lv] = static_cast<std::uint32_t>(s);
-    while (r < runs.size() &&
-           gate_level[gate_of_slot[runs[r].begin]] < lv) {
-      ++r;
-    }
-    run_begin_of_level[lv] = static_cast<std::uint32_t>(r);
-  }
-  level_begin[num_levels] = static_cast<std::uint32_t>(ng);
-  run_begin_of_level[num_levels] = static_cast<std::uint32_t>(runs.size());
+  std::partial_sum(level_begin.begin(), level_begin.end(),
+                   level_begin.begin());
 }
 
 std::size_t LevelPlan::capacity_bytes() const {
-  return (slot_of_gate.capacity() + gate_of_slot.capacity() +
-          level_begin.capacity() + run_begin_of_level.capacity() +
+  return (slot_of_gate.capacity() + level_begin.capacity() +
           out_net.capacity() + ins_offset.capacity() + ins_net.capacity()) *
              sizeof(std::uint32_t) +
-         (dmin.capacity() + dmax.capacity()) * sizeof(std::int64_t) +
-         runs.capacity() * sizeof(KernelRun);
-}
-
-namespace {
-
-const KernelTable& scalar_table() {
-  static const KernelTable t = kern::make_kernel_table<kern::ScalarOps>();
-  return t;
-}
-
-[[nodiscard]] bool cpu_has_avx2() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
-/// WAVECK_SIMD env override: "0"/"off"/"OFF"/"false" start with the scalar
-/// set even on AVX2 hardware (CI pins sanitizer and equality jobs with it).
-[[nodiscard]] bool env_allows_simd() {
-  const char* e = std::getenv("WAVECK_SIMD");
-  if (e == nullptr) return true;
-  return !(std::strcmp(e, "0") == 0 || std::strcmp(e, "off") == 0 ||
-           std::strcmp(e, "OFF") == 0 || std::strcmp(e, "false") == 0);
-}
-
-std::atomic<bool>& simd_flag() {
-  static std::atomic<bool> f{simd_supported() && env_allows_simd()};
-  return f;
-}
-
-}  // namespace
-
-bool simd_compiled() {
-#ifdef WAVECK_HAVE_AVX2
-  return true;
-#else
-  return false;
-#endif
-}
-
-bool simd_supported() { return simd_compiled() && cpu_has_avx2(); }
-
-void set_simd_enabled(bool on) {
-  simd_flag().store(on && simd_supported(), std::memory_order_relaxed);
-}
-
-bool simd_enabled() { return simd_flag().load(std::memory_order_relaxed); }
-
-const KernelTable& active_kernel_table() {
-#ifdef WAVECK_HAVE_AVX2
-  if (simd_enabled()) return kern::avx2_kernel_table();
-#endif
-  return scalar_table();
+         type.capacity() * sizeof(GateType) +
+         delay.capacity() * sizeof(DelaySpec);
 }
 
 }  // namespace waveck

@@ -321,7 +321,7 @@ ProjectionDelta project_mux(DelaySpec d, AbstractSignal& out,
 ProjectionDelta project_gate(GateType type, DelaySpec delay,
                              AbstractSignal& out,
                              std::span<AbstractSignal> ins) {
-  assert(ins.size() <= 32);
+  assert(ins.size() <= kMaxGateFanin);
   switch (type) {
     case GateType::kNot:
     case GateType::kBuf:

@@ -53,7 +53,7 @@ struct ProjectionDelta {
 
 /// Applies the gate's relational constraint once: narrows `out` and each
 /// `ins[i]` in place. Sound (never removes a sigma-compatible waveform) and
-/// monotone (domains only narrow). At most 32 inputs.
+/// monotone (domains only narrow). At most kMaxGateFanin inputs.
 ProjectionDelta project_gate(GateType type, DelaySpec delay,
                              AbstractSignal& out,
                              std::span<AbstractSignal> ins);

@@ -1,10 +1,9 @@
 // Struct-of-arrays storage for the per-net abstract-signal domains.
 //
-// The constraint system's variable store used to be one AbstractSignal per
-// net (array-of-structs). The level-sweep kernels want the transposed
-// layout: four flat int64 planes — w0.lo, w0.hi, w1.lo, w1.hi — indexed by
-// NetId, so a batch of gates can gather one bound for many nets with a
-// single vector load per lane group. Encoding is Time's raw sentinel form
+// The constraint system's variable store is four flat int64 planes — w0.lo,
+// w0.hi, w1.lo, w1.hi — indexed by NetId, rather than one AbstractSignal per
+// net: hot consumers (carrier sweeps, cache invalidation) answer their
+// predicates straight off the planes. Encoding is Time's raw sentinel form
 // (waveform/soa_encoding.hpp); stored intervals are always canonical, so
 // bitwise plane equality is semantic equality.
 #pragma once
@@ -32,14 +31,6 @@ class SoaDomain {
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
-
-  // ----- plane access (kernels) --------------------------------------------
-  [[nodiscard]] const std::int64_t* lo(int cls) const { return lo_[cls].data(); }
-  [[nodiscard]] const std::int64_t* hi(int cls) const { return hi_[cls].data(); }
-
-  [[nodiscard]] soa::RawInterval raw_cls(std::size_t n, int cls) const {
-    return {lo_[cls][n], hi_[cls][n]};
-  }
 
   // ----- whole-signal view -------------------------------------------------
   [[nodiscard]] AbstractSignal get(NetId n) const {

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/telemetry.hpp"
-#include "constraints/level_kernel.hpp"
 #include "explain/analyzer.hpp"
 #include "gen/rng.hpp"
 #include "netlist/bench_io.hpp"
@@ -31,7 +30,6 @@ const char* to_string(Property p) {
     case Property::kBenchRoundTrip: return "bench_roundtrip";
     case Property::kVerilogRoundTrip: return "verilog_roundtrip";
     case Property::kCacheEquivalence: return "cache_equivalence";
-    case Property::kSimdEquivalence: return "simd_equivalence";
     case Property::kTraceWellFormed: return "trace_well_formed";
   }
   return "?";
@@ -53,8 +51,7 @@ const std::vector<Property>& all_properties() {
       Property::kDeltaMonotonic,   Property::kBufferInvariance,
       Property::kNorRemap,         Property::kParallelDeterminism,
       Property::kBenchRoundTrip,   Property::kVerilogRoundTrip,
-      Property::kCacheEquivalence, Property::kSimdEquivalence,
-      Property::kTraceWellFormed,
+      Property::kCacheEquivalence, Property::kTraceWellFormed,
   };
   return kAll;
 }
@@ -288,36 +285,6 @@ PropertyResult check_cache_equivalence(const Circuit& c,
   return pass(p);
 }
 
-PropertyResult check_simd_equivalence(const Circuit& c,
-                                      const BatteryOptions& opt) {
-  (void)opt;
-  constexpr Property p = Property::kSimdEquivalence;
-  if (!simd_supported()) {
-    return skip(p, simd_compiled() ? "host CPU lacks AVX2"
-                                   : "built without WAVECK_SIMD");
-  }
-  const bool prior = simd_enabled();
-  const Time topo = topological_delay(c);
-  const std::int64_t t = topo.is_finite() ? topo.value() : 0;
-  for (std::int64_t d : {t / 2, t, t + 1}) {
-    if (d < 0) continue;
-    const Time delta(d);
-    set_simd_enabled(true);
-    Verifier simd_v(c);
-    const std::string on = canonical_suite_json(c, simd_v.check_circuit(delta));
-    set_simd_enabled(false);
-    Verifier scalar_v(c);
-    const std::string off =
-        canonical_suite_json(c, scalar_v.check_circuit(delta));
-    set_simd_enabled(prior);
-    if (on != off) {
-      return fail(p, "simd vs scalar suite JSON differs at delta " +
-                         std::to_string(d));
-    }
-  }
-  return pass(p);
-}
-
 PropertyResult check_parallel_determinism(const Circuit& c,
                                           const BatteryOptions& opt) {
   constexpr Property p = Property::kParallelDeterminism;
@@ -500,7 +467,6 @@ PropertyResult check_property(const Circuit& c, Property p,
     case Property::kBenchRoundTrip: return check_bench_roundtrip(c, opt);
     case Property::kVerilogRoundTrip: return check_verilog_roundtrip(c, opt);
     case Property::kCacheEquivalence: return check_cache_equivalence(c, opt);
-    case Property::kSimdEquivalence: return check_simd_equivalence(c, opt);
     case Property::kTraceWellFormed: return check_trace_well_formed(c, opt);
   }
   return fail(p, "unknown property");

@@ -83,18 +83,15 @@ Circuit read_bench(std::istream& is, std::string name) {
       const std::string net = strip(line.substr(open + 1, close - open - 1));
       if (net.empty()) throw ParseError(fname, lineno, "empty net name");
       const NetId id = c.net_by_name_or_add(net);
-      const bool input = u.rfind("INPUT", 0) == 0;
-      const Net& n = c.net(id);
-      if (input ? n.is_primary_input : n.is_primary_output) {
-        throw ParseError(fname, lineno,
-                         std::string("duplicate ") +
-                             (input ? "INPUT(" : "OUTPUT(") + net + ")");
-      }
-      if (input) {
-        c.declare_input(id);
-      } else {
-        c.declare_output(id);
-        any_output = true;
+      try {
+        if (u.rfind("INPUT", 0) == 0) {
+          c.declare_input(id);
+        } else {
+          c.declare_output(id);
+          any_output = true;
+        }
+      } catch (const CircuitError& e) {
+        throw ParseError(fname, lineno, e.what());
       }
       continue;
     }

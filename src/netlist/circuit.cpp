@@ -4,6 +4,7 @@
 #include <numeric>
 #include <queue>
 #include <stdexcept>
+#include <string>
 
 namespace waveck {
 
@@ -38,6 +39,11 @@ GateId Circuit::add_gate(GateType type, NetId out, std::vector<NetId> ins,
   if (!is_unary(type) && type != GateType::kMux && ins.empty()) {
     throw CircuitError("gate with no inputs");
   }
+  if (ins.size() > kMaxGateFanin) {
+    throw CircuitError("gate driving " + nets_[out.index()].name + " has " +
+                       std::to_string(ins.size()) + " inputs (at most " +
+                       std::to_string(kMaxGateFanin) + ")");
+  }
   if (nets_[out.index()].driver.valid()) {
     throw CircuitError("net " + nets_[out.index()].name +
                        " has multiple drivers");
@@ -50,12 +56,20 @@ GateId Circuit::add_gate(GateType type, NetId out, std::vector<NetId> ins,
 }
 
 void Circuit::declare_input(NetId n) {
-  nets_[n.index()].is_primary_input = true;
+  Net& net = nets_[n.index()];
+  if (net.is_primary_input) {
+    throw CircuitError("duplicate INPUT(" + net.name + ")");
+  }
+  net.is_primary_input = true;
   finalized_ = false;
 }
 
 void Circuit::declare_output(NetId n) {
-  nets_[n.index()].is_primary_output = true;
+  Net& net = nets_[n.index()];
+  if (net.is_primary_output) {
+    throw CircuitError("duplicate OUTPUT(" + net.name + ")");
+  }
+  net.is_primary_output = true;
   finalized_ = false;
 }
 

@@ -44,6 +44,8 @@ class Circuit {
   NetId net_by_name_or_add(std::string_view name);
   GateId add_gate(GateType type, NetId out, std::vector<NetId> ins,
                   DelaySpec delay = {});
+  /// Marks `n` a primary input / output. Throws CircuitError when `n` is
+  /// already declared one (a net may be both an input and an output).
   void declare_input(NetId n);
   void declare_output(NetId n);
 

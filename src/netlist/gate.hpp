@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -26,6 +27,10 @@ enum class GateType : std::uint8_t {
   kDelay,  // identity function; pure delay element
   kMux,    // inputs: (sel, d0, d1); out = sel ? d1 : d0
 };
+
+/// Widest gate a circuit may hold: the relational projections keep one
+/// change bit per input in a 32-bit mask.
+inline constexpr std::size_t kMaxGateFanin = 32;
 
 [[nodiscard]] constexpr std::string_view to_string(GateType t) {
   switch (t) {

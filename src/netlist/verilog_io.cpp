@@ -160,21 +160,32 @@ Circuit read_verilog(std::istream& is, std::string fallback_name) {
     }
   };
 
+  bool any_output = false;
   while (!lex.done()) {
     const auto t = lex.next();
     if (t.text == "endmodule") {
+      // A module with nothing observable would make every check vacuously
+      // pass.
+      if (!any_output) {
+        throw ParseError(lex.file(), t.line, "no output declared");
+      }
       c.finalize();
       return c;
     }
-    if (t.text == "input") {
-      read_name_list([&](const std::string& n, int) {
-        c.declare_input(c.net_by_name_or_add(n));
-      });
-      continue;
-    }
-    if (t.text == "output") {
-      read_name_list([&](const std::string& n, int) {
-        c.declare_output(c.net_by_name_or_add(n));
+    if (t.text == "input" || t.text == "output") {
+      const bool input = t.text == "input";
+      read_name_list([&](const std::string& n, int line) {
+        const NetId id = c.net_by_name_or_add(n);
+        try {
+          if (input) {
+            c.declare_input(id);
+          } else {
+            c.declare_output(id);
+            any_output = true;
+          }
+        } catch (const CircuitError& e) {
+          throw ParseError(lex.file(), line, e.what());
+        }
       });
       continue;
     }

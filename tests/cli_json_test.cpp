@@ -59,6 +59,21 @@ std::string c17_path() {
   return path;
 }
 
+/// A .bench whose one gate is one input wider than kMaxGateFanin; the gate
+/// sits on line 35.
+const std::string& wide_gate_bench() {
+  static const std::string text = [] {
+    std::string t, args;
+    for (int i = 0; i < 33; ++i) {
+      const std::string a = "a" + std::to_string(i);
+      t += "INPUT(" + a + ")\n";
+      args += (i ? ", " : "") + a;
+    }
+    return t + "OUTPUT(z)\nz = AND(" + args + ")\n";
+  }();
+  return text;
+}
+
 TEST(CliJson, MalformedNetlistsFailWithUsageCode) {
   // Rejected netlists answer rc 2 and a file:line diagnostic, never a
   // vacuous verdict.
@@ -74,6 +89,20 @@ TEST(CliJson, MalformedNetlistsFailWithUsageCode) {
       {"cli_json_test_drivers.bench",
        "INPUT(a)\nOUTPUT(z)\nz = NOT(a)\nz = BUF(a)\n",
        "cli_json_test_drivers.bench:4: net z has multiple drivers"},
+      {"cli_json_test_dup_in.v",
+       "module m (a, z);\ninput a;\ninput a;\noutput z;\nnot (z, a);\n"
+       "endmodule\n",
+       "cli_json_test_dup_in.v:3: duplicate INPUT(a)"},
+      {"cli_json_test_dup_out.v",
+       "module m (a, z);\ninput a;\noutput z;\noutput z;\nnot (z, a);\n"
+       "endmodule\n",
+       "cli_json_test_dup_out.v:4: duplicate OUTPUT(z)"},
+      {"cli_json_test_wide.bench", wide_gate_bench().c_str(),
+       "cli_json_test_wide.bench:35: gate driving z has 33 inputs (at most "
+       "32)"},
+      {"cli_json_test_no_out.v",
+       "module m (a, z);\ninput a;\nwire z;\nnot (z, a);\nendmodule\n",
+       "cli_json_test_no_out.v:5: no output declared"},
   };
   for (const auto& tc : cases) {
     std::ofstream(tc.file) << tc.text;

@@ -31,10 +31,12 @@
 #include "verify/verifier.hpp"
 
 // The CPU-bound leaf of Profiler.LeafFrameIsTheSampledFunction. External
-// linkage (exported through -rdynamic) and no inlining, so its samples
+// linkage (exported through -rdynamic), and noipa so the optimizer neither
+// inlines it nor runs it as a local clone (GCC's `.constprop.0` at -O2 is
+// not exported, and its samples would symbolize to the caller): its samples
 // symbolize to its own name.
-extern "C" __attribute__((noinline)) double waveck_prof_test_spin(double acc,
-                                                                 int n) {
+extern "C" __attribute__((noipa)) double waveck_prof_test_spin(double acc,
+                                                              int n) {
   for (int i = 0; i < n; ++i) acc = acc * 1.0000001 + 0.5;
   return acc;
 }

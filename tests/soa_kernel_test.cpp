@@ -1,17 +1,24 @@
-// SoA domain planes and level-sweep kernels: encoding round-trips,
+// SoA domain planes and the level-sweep drain: encoding round-trips,
 // sentinel saturation at the Time range edges, plane-predicate parity with
-// the AbstractSignal definitions, and simd/scalar narrowing equivalence.
+// the AbstractSignal definitions, and the drain's fixpoint against a naive
+// worklist over project_gate.
+#include <algorithm>
 #include <deque>
+#include <ostream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "constraints/constraint_system.hpp"
-#include "constraints/level_kernel.hpp"
 #include "constraints/projection.hpp"
 #include "constraints/soa_domain.hpp"
+#include "gen/builder.hpp"
 #include "gen/generators.hpp"
 #include "gen/rng.hpp"
+#include "netlist/topo_delay.hpp"
+#include "netlist/transforms.hpp"
 #include "waveform/soa_encoding.hpp"
 
 namespace waveck {
@@ -130,27 +137,16 @@ TEST(SoaDomain, PredicatesMatchAbstractSignalDefinitions) {
   }
 }
 
-TEST(LevelKernel, DispatchReportsCompileAndCpuState) {
-  // Runtime dispatch is internally consistent whatever the host: enabled
-  // implies supported implies compiled, and the toggle round-trips.
-  if (simd_enabled()) EXPECT_TRUE(simd_supported());
-  if (simd_supported()) EXPECT_TRUE(simd_compiled());
-  const bool prior = simd_enabled();
-  set_simd_enabled(false);
-  EXPECT_FALSE(simd_enabled());
-  set_simd_enabled(true);
-  EXPECT_EQ(simd_enabled(), simd_supported());
-  set_simd_enabled(prior);
-}
+/// Domain restrictions applied before the first drain: every input
+/// floating, plus (optionally) one output asked to settle late.
+using Restrictions = std::vector<std::pair<NetId, AbstractSignal>>;
 
 /// Naive worklist fixpoint straight over Gate objects and project_gate:
-/// the reference the batched engine must reproduce exactly.
-std::vector<AbstractSignal> reference_fixpoint(const Circuit& c) {
+/// the reference the level-sweep engine must reproduce exactly.
+std::vector<AbstractSignal> reference_fixpoint(const Circuit& c,
+                                               const Restrictions& r) {
   std::vector<AbstractSignal> dom(c.num_nets(), AbstractSignal::top());
-  for (NetId in : c.inputs()) {
-    dom[in.index()] =
-        dom[in.index()].intersect(AbstractSignal::floating_input());
-  }
+  for (const auto& [n, s] : r) dom[n.index()] = dom[n.index()].intersect(s);
   std::deque<GateId> work;
   std::vector<char> inq(c.num_gates(), 0);
   for (GateId g : c.topo_order()) {
@@ -190,43 +186,136 @@ std::vector<AbstractSignal> reference_fixpoint(const Circuit& c) {
   return dom;
 }
 
-std::vector<AbstractSignal> engine_fixpoint(const Circuit& c) {
-  ConstraintSystem cs(c);
-  for (NetId in : c.inputs()) {
-    cs.restrict_domain(in, AbstractSignal::floating_input());
-  }
-  cs.schedule_all();
-  cs.reach_fixpoint();
-  std::vector<AbstractSignal> dom;
-  dom.reserve(c.num_nets());
-  for (NetId n : c.all_nets()) dom.push_back(cs.domain(n));
-  return dom;
+/// One engine-vs-reference input circuit.
+struct KernelCase {
+  enum Family : std::uint8_t { kStructured, kNorMapped, kXorMux, kWideFanin };
+  Family family;
+  std::uint64_t seed;
+};
+
+/// The structured family prints as its bare seed, so its test names stay
+/// `.../1` .. `.../12`; the others carry a family prefix.
+void PrintTo(const KernelCase& k, std::ostream* os) {
+  constexpr const char* kPrefix[] = {"", "nor_", "xor_mux_", "wide_"};
+  *os << kPrefix[k.family] << k.seed;
 }
 
-class KernelEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+/// AND/NAND/OR/NOR gates over a pool of the inputs and earlier outputs:
+/// two of every three have fan-in 9..16, the rest 2; delays are intervals.
+Circuit wide_fanin_circuit(std::uint64_t seed) {
+  gen::Rng rng(seed);
+  gen::detail::Builder b("wide_fanin");
+  std::vector<NetId> pool;
+  for (unsigned i = 0; i < 20; ++i) {
+    pool.push_back(b.input("i" + std::to_string(i)));
+  }
+  const GateType kinds[] = {GateType::kAnd, GateType::kNand, GateType::kOr,
+                            GateType::kNor};
+  for (unsigned g = 0; g < 24; ++g) {
+    const bool wide = g % 3 != 2;
+    const std::size_t arity = wide ? 9 + rng.below(8) : 2;
+    std::vector<NetId> ins;
+    while (ins.size() < arity) {
+      const NetId pick = pool[rng.below(pool.size())];
+      if (std::find(ins.begin(), ins.end(), pick) == ins.end()) {
+        ins.push_back(pick);
+      }
+    }
+    pool.push_back(b.op(kinds[rng.below(4)], std::move(ins)));
+  }
+  for (std::size_t i = 0; i < 4; ++i) {
+    b.c.declare_output(pool[pool.size() - 1 - i]);
+  }
+  for (GateId g : b.c.all_gates()) {
+    const std::int64_t dmax = 1 + static_cast<std::int64_t>(rng.below(10));
+    b.c.gate_mut(g).delay =
+        DelaySpec(static_cast<std::int64_t>(rng.below(dmax + 1)), dmax);
+  }
+  b.c.finalize();
+  return std::move(b.c);
+}
+
+Circuit make_circuit(const KernelCase& k) {
+  gen::StructuredCircuitConfig cfg;
+  cfg.seed = k.seed * 131 + 5;
+  cfg.gates = 60;
+  switch (k.family) {
+    case KernelCase::kStructured:
+      return gen::structured_random_circuit(cfg);
+    case KernelCase::kNorMapped: {
+      Circuit c = map_to_nor(gen::structured_random_circuit(cfg));
+      c.set_uniform_delay(DelaySpec::fixed(10));
+      return c;
+    }
+    case KernelCase::kXorMux:
+      cfg.w_and = cfg.w_or = cfg.w_nand = cfg.w_nor = 1;
+      cfg.w_xor = 4;
+      cfg.w_xnor = 3;
+      cfg.w_mux = 4;
+      cfg.delay_intervals = true;
+      return gen::structured_random_circuit(cfg);
+    case KernelCase::kWideFanin:
+      return wide_fanin_circuit(k.seed);
+  }
+  return {};
+}
+
+class KernelEquivalence : public ::testing::TestWithParam<KernelCase> {};
 
 TEST_P(KernelEquivalence, BatchedSweepMatchesNaiveWorklist) {
-  gen::StructuredCircuitConfig cfg;
-  cfg.seed = GetParam() * 131 + 5;
-  cfg.gates = 60;
-  const Circuit c = gen::structured_random_circuit(cfg);
-  const auto ref = reference_fixpoint(c);
+  const Circuit c = make_circuit(GetParam());
+  Restrictions floating;
+  for (NetId in : c.inputs()) {
+    floating.emplace_back(in, AbstractSignal::floating_input());
+  }
+  // Second round: one output must settle at or after half the topological
+  // delay, which drives the backward rules.
+  Restrictions late = floating;
+  const Time topo = topological_delay(c);
+  late.emplace_back(c.outputs().front(),
+                    AbstractSignal::violating(
+                        Time(topo.is_finite() ? topo.value() / 2 : 0)));
 
-  const bool prior = simd_enabled();
-  for (const bool simd : {false, true}) {
-    if (simd && !simd_supported()) continue;
-    set_simd_enabled(simd);
-    const auto got = engine_fixpoint(c);
+  for (const Restrictions* r : {&floating, &late}) {
+    const auto ref = reference_fixpoint(c, *r);
+    ConstraintSystem cs(c);
+    for (const auto& [n, s] : *r) cs.restrict_domain(n, s);
+    cs.schedule_all();
+    if (cs.reach_fixpoint() == ConstraintSystem::Status::kNoViolation) {
+      // The engine stops at its first empty domain; that net is empty in
+      // the greatest fixpoint too.
+      bool ref_bottom = false;
+      for (NetId n : c.all_nets()) {
+        if (cs.domain(n).is_bottom()) {
+          ASSERT_TRUE(ref[n.index()].is_bottom()) << "net " << c.net(n).name;
+          ref_bottom = true;
+        }
+      }
+      ASSERT_TRUE(ref_bottom);
+      continue;
+    }
     for (NetId n : c.all_nets()) {
-      ASSERT_EQ(got[n.index()], ref[n.index()])
-          << (simd ? "simd" : "scalar") << " net " << c.net(n).name;
+      ASSERT_EQ(cs.domain(n), ref[n.index()])
+          << (r == &late ? "late output, " : "") << "net "
+          << c.net(n).name;
     }
   }
-  set_simd_enabled(prior);
+}
+
+std::vector<KernelCase> kernel_cases() {
+  std::vector<KernelCase> cases;
+  for (std::uint64_t s = 1; s <= 12; ++s) {
+    cases.push_back({KernelCase::kStructured, s});
+  }
+  for (const auto f : {KernelCase::kNorMapped, KernelCase::kXorMux,
+                       KernelCase::kWideFanin}) {
+    for (std::uint64_t s = 1; s <= 4; ++s) cases.push_back({f, s});
+  }
+  return cases;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelEquivalence,
-                         ::testing::Range<std::uint64_t>(1, 13));
+                         ::testing::ValuesIn(kernel_cases()));
 
 }  // namespace
 }  // namespace waveck

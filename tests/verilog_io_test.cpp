@@ -96,6 +96,40 @@ TEST(VerilogIo, ErrorsCarryLineNumbers) {
   }
 }
 
+TEST(VerilogIo, RejectsMalformedDeclarations) {
+  const struct {
+    const char* text;
+    int line;
+    const char* what;
+  } cases[] = {
+      {"module m (a, z);\ninput a;\ninput a;\noutput z;\nnot (z, a);\n"
+       "endmodule\n",
+       3, "duplicate INPUT(a)"},
+      {"module m (a, z);\ninput a;\noutput z;\nnot (z, a);\noutput z;\n"
+       "endmodule\n",
+       5, "duplicate OUTPUT(z)"},
+      {"module m (a, b);\ninput a, b,\n  a;\nendmodule\n", 3,
+       "duplicate INPUT(a)"},
+      {"module m (a, z);\ninput a;\nwire z;\nnot (z, a);\nendmodule\n", 5,
+       "no output declared"},
+  };
+  for (const auto& tc : cases) {
+    try {
+      (void)read_verilog_string(tc.text, "dup.v");
+      FAIL() << "expected ParseError for " << tc.what;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), tc.line) << e.what();
+      EXPECT_EQ(std::string(e.what()),
+                "dup.v:" + std::to_string(tc.line) + ": " + tc.what);
+    }
+  }
+  // A net that is both an input and an output is one declaration each.
+  const Circuit c = read_verilog_string(
+      "module m (a);\ninput a;\noutput a;\nendmodule\n");
+  EXPECT_EQ(c.inputs().size(), 1u);
+  EXPECT_EQ(c.outputs().size(), 1u);
+}
+
 TEST(VerilogIo, RoundTrip) {
   const Circuit c = gen::c17();
   const std::string text = write_verilog_string(c);

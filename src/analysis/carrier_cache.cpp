@@ -54,7 +54,8 @@ Time CarrierCache::carrier_distance(NetId n, Time cand) const {
   if (cand == Time::neg_inf() || !finalizable(n)) return Time::neg_inf();
   assert(check_.delta.is_finite() && cand.is_finite());
   const Time bound = Time(check_.delta.value() - cand.value());
-  return cs_.has_transition_at_or_after(n, bound) ? cand : Time::neg_inf();
+  return cs_.domain(n).has_transition_at_or_after(bound) ? cand
+                                                          : Time::neg_inf();
 }
 
 Time CarrierCache::pull_candidate(NetId n) const {

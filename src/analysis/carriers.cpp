@@ -44,7 +44,7 @@ CarrierSet dynamic_carriers(const ConstraintSystem& cs,
   auto finalize = [&](NetId n) {
     const Time k = cand[n.index()];
     if (k == Time::neg_inf()) return;
-    if (cs.has_transition_at_or_after(n, minus(check.delta, k))) {
+    if (cs.domain(n).has_transition_at_or_after(minus(check.delta, k))) {
       set.distance[n.index()] = k;
     }
   };

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_set>
 
 namespace waveck::telemetry {
 
@@ -18,6 +19,16 @@ thread_local SpanContext t_span;
 thread_local std::atomic<const char*> t_stage_mark{nullptr};
 thread_local std::atomic<const char*> t_check_mark{nullptr};
 std::atomic<std::int64_t> g_next_check_id{0};
+
+/// The process-lifetime copy of `name` (see set_check_mark). Node-based, so
+/// a returned pointer survives later insertions; never destroyed, so it
+/// also survives static destruction.
+const char* intern_mark(const char* name) {
+  static std::mutex mu;
+  static auto* names = new std::unordered_set<std::string>();
+  const std::lock_guard<std::mutex> lock(mu);
+  return names->emplace(name).first->c_str();
+}
 }  // namespace
 
 void set_trace_sink(TraceSink* sink) {
@@ -37,7 +48,8 @@ const char* check_mark() {
   return t_check_mark.load(std::memory_order_relaxed);
 }
 void set_check_mark(const char* check) {
-  t_check_mark.store(check, std::memory_order_relaxed);
+  t_check_mark.store(check != nullptr ? intern_mark(check) : nullptr,
+                     std::memory_order_relaxed);
 }
 
 SpanContext& span_context() { return t_span; }

@@ -453,9 +453,12 @@ void set_worker_id(int id);
 /// Position marks for the sampling profiler (src/prof): the verifier stamps
 /// the current check's output name and pipeline stage into thread-local
 /// slots, and the SIGPROF handler reads them back to annotate each captured
-/// stack. Stored as lock-free atomics so the read is async-signal-safe; the
-/// pointed-to strings must outlive the mark (stage names are literals, the
-/// check mark borrows the Circuit's net name). nullptr = no mark.
+/// stack. Stored as lock-free atomics so the read is async-signal-safe.
+/// Samples keep the mark pointers until the profiler stops, possibly after
+/// the circuit is gone, so marks live as long as the process: stage names
+/// are literals, and `set_check_mark` copies the check's name once into an
+/// append-only table (a mutex, never taken in the handler); `check_mark()`
+/// returns that copy. nullptr = no mark.
 [[nodiscard]] const char* stage_mark();
 void set_stage_mark(const char* stage);
 [[nodiscard]] const char* check_mark();

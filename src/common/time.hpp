@@ -56,20 +56,10 @@ class Time {
   [[nodiscard]] static constexpr Time min(Time a, Time b) { return a < b ? a : b; }
   [[nodiscard]] static constexpr Time max(Time a, Time b) { return a > b ? a : b; }
 
-  // ----- raw (sentinel-encoded) view ---------------------------------------
-  // The SoA domain planes (constraints/soa_domain.hpp) store bounds as bare
-  // int64 with the same sentinel encoding this class uses internally, so the
-  // batched kernels can do branch-free min/max/saturating-add on plane
-  // arrays. `raw()`/`from_raw` convert without re-validating; the sentinel
-  // constants are exposed for the kernels' saturation masks.
-  static constexpr std::int64_t kRawNegInf = INT64_MIN / 4;
-  static constexpr std::int64_t kRawPosInf = INT64_MAX / 4;
-
-  [[nodiscard]] constexpr std::int64_t raw() const { return v_; }
-  [[nodiscard]] static constexpr Time from_raw(std::int64_t v) {
-    assert(v >= kRawNegInf && v <= kRawPosInf && "raw Time out of range");
-    return Time(v, Raw{});
-  }
+  /// Largest finite value. Analysis inputs (a netlist's longest delay path,
+  /// a check's delta) are range-checked against it before any arithmetic,
+  /// so finite bounds never reach the sentinels.
+  static constexpr std::int64_t kMaxFinite = INT64_MAX / 4 - 1;
 
   [[nodiscard]] std::string str() const;
 
@@ -78,8 +68,8 @@ class Time {
   constexpr Time(std::int64_t v, Raw) : v_(v) {}
 
   // Leave headroom so saturating adds of delay sums can never wrap.
-  static constexpr std::int64_t kNegInf = kRawNegInf;
-  static constexpr std::int64_t kPosInf = kRawPosInf;
+  static constexpr std::int64_t kNegInf = INT64_MIN / 4;
+  static constexpr std::int64_t kPosInf = kMaxFinite + 1;
 
   std::int64_t v_ = 0;
 };

@@ -90,12 +90,12 @@ void ConstraintSystem::enable_change_log() {
 void ConstraintSystem::save_if_needed(NetId n) {
   auto& epoch = save_epoch_[n.index()];
   if (epoch == current_epoch_) return;
-  trail_.push_back({n, domains_.get(n), epoch});
+  trail_.push_back({n, domains_[n.index()], epoch});
   epoch = current_epoch_;
 }
 
 void ConstraintSystem::commit_domain(NetId n, const AbstractSignal& value) {
-  const AbstractSignal dom = domains_.get(n);
+  const AbstractSignal dom = domains_[n.index()];
   const AbstractSignal nd = dom.intersect(value);
   if (nd == dom) return;
 
@@ -103,7 +103,7 @@ void ConstraintSystem::commit_domain(NetId n, const AbstractSignal& value) {
   const bool was_single = dom.single_class();
   const bool was_bottom = dom.is_bottom();
   const Time old_latest = dom.latest();
-  domains_.set(n, nd);
+  domains_[n.index()] = nd;
   ++narrowings_;
   ++domain_gen_;
   log_change(n);
@@ -214,10 +214,8 @@ bool ConstraintSystem::sweep_level(std::size_t lv,
     const std::uint32_t* in_net = plan_.ins_net.data() + plan_.ins_offset[s];
     const std::size_t arity = plan_.ins_offset[s + 1] - plan_.ins_offset[s];
     assert(arity <= kMaxGateFanin);
-    AbstractSignal out = domains_.get(onet);
-    for (std::size_t k = 0; k < arity; ++k) {
-      ins[k] = domains_.get(NetId{in_net[k]});
-    }
+    AbstractSignal out = domains_[onet.index()];
+    for (std::size_t k = 0; k < arity; ++k) ins[k] = domains_[in_net[k]];
     const ProjectionDelta delta =
         project_gate(plan_.type[s], plan_.delay[s], out,
                      std::span<AbstractSignal>(ins, arity));
@@ -338,10 +336,9 @@ void ConstraintSystem::pop_to(Mark mark) {
   if (trail_.size() > mark) ++domain_gen_;
   while (trail_.size() > mark) {
     TrailEntry& e = trail_.back();
-    if (domains_.is_bottom(e.net.index()) && !e.old_value.is_bottom()) {
-      --bottom_count_;
-    }
-    domains_.set(e.net, e.old_value);
+    AbstractSignal& dom = domains_[e.net.index()];
+    if (dom.is_bottom() && !e.old_value.is_bottom()) --bottom_count_;
+    dom = e.old_value;
     save_epoch_[e.net.index()] = e.old_epoch;
     log_change(e.net);
     trail_.pop_back();

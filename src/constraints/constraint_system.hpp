@@ -1,20 +1,20 @@
 // Event-driven constraint system over abstract signals (paper Section 3.3).
 //
 // One variable per net, one relational constraint per gate. The variable
-// store is data-oriented: four flat int64 bound planes indexed by NetId
-// (SoaDomain) plus bit planes for the in-queue and changed-net flags. The
-// drain evaluates one topological level at a time (a level sweep over the
-// LevelPlan slots, level_kernel.hpp), each scheduled gate with the exact
-// per-gate projection `project_gate`. All narrowing funnels through one
-// commit path (`commit_domain`), which keeps the trail, scheduling,
-// learning and telemetry semantics in one place; the greatest fixpoint is
+// store is one AbstractSignal per net, indexed by NetId, plus bit planes for
+// the in-queue and changed-net flags. The drain evaluates one topological
+// level at a time (a level sweep over the LevelPlan slots,
+// level_kernel.hpp), each scheduled gate with the exact per-gate projection
+// `project_gate`. All narrowing funnels through one commit path
+// (`commit_domain`), which keeps the trail, scheduling, learning and
+// telemetry semantics in one place; the greatest fixpoint is
 // order-independent (Theorem 1), so canonical results cannot depend on the
 // sweep order.
 //
 // `reach_fixpoint` repeatedly applies scheduled gate constraints until no
 // domain narrows -- the greatest fixpoint. Selective state saving (a trail
-// of old plane values) supports the backtracking needed by stem correlation
-// and case analysis.
+// of old domain values) supports the backtracking needed by stem
+// correlation and case analysis.
 //
 // Learned class implications (Section 4, static learning) hook in through
 // an ImplicationTable: whenever a net's domain collapses to a single final
@@ -31,7 +31,6 @@
 #include "common/ids.hpp"
 #include "common/telemetry.hpp"
 #include "constraints/level_kernel.hpp"
-#include "constraints/soa_domain.hpp"
 #include "netlist/circuit.hpp"
 #include "waveform/abstract_waveform.hpp"
 
@@ -92,17 +91,10 @@ class ConstraintSystem final {
   [[nodiscard]] const Circuit& circuit() const { return circuit_; }
 
   // ----- domains ------------------------------------------------------------
-  /// The net's abstract signal, assembled from the SoA planes (by value:
-  /// the planes are the store, there is no per-net object to reference).
+  /// The net's abstract signal. By value: a later narrowing never changes
+  /// a caller's copy.
   [[nodiscard]] AbstractSignal domain(NetId n) const {
-    return domains_.get(n);
-  }
-  /// Direct plane view for batch consumers (carrier sweeps, tests).
-  [[nodiscard]] const SoaDomain& soa() const { return domains_; }
-  /// AbstractSignal::has_transition_at_or_after without reassembling the
-  /// signal — the Def. 7 dynamic-carrier test, straight off the planes.
-  [[nodiscard]] bool has_transition_at_or_after(NetId n, Time t) const {
-    return domains_.has_transition_at_or_after(n.index(), t);
+    return domains_[n.index()];
   }
   /// Intersects the domain of `n` with `with`, recording the trail entry and
   /// scheduling affected constraints. Returns true if the domain narrowed.
@@ -205,7 +197,7 @@ class ConstraintSystem final {
   }
 
   const Circuit& circuit_;
-  SoaDomain domains_;
+  std::vector<AbstractSignal> domains_;  // indexed by NetId
 
   // Topo-level queue over plan slots. Gates are bucketed by longest-path
   // depth (every circuit edge goes to a strictly higher level) and laid out
@@ -229,9 +221,8 @@ class ConstraintSystem final {
   std::size_t cursor_ = 0;
   std::size_t touched_hi_ = 0;
 
-  // Trail entries snapshot the four touched plane values of one net (an
-  // AbstractSignal is exactly that quadruple), so pop_to restores planes
-  // without any per-net object store.
+  // Trail entries snapshot a net's whole domain before its first narrowing
+  // in a decision level; pop_to writes them back.
   struct TrailEntry {
     NetId net;
     AbstractSignal old_value;
@@ -291,11 +282,11 @@ class ConstraintSystem final {
   telemetry::Gauge& g_queue_depth_;
   telemetry::Gauge& g_arena_bytes_;
 
-  /// Bytes held by the principal growable arenas (trail, domain planes,
-  /// queue bookkeeping, change log, level plan). O(1): capacities only.
+  /// Bytes held by the principal growable arenas (trail, domains, queue
+  /// bookkeeping, change log, level plan). O(1): capacities only.
   [[nodiscard]] std::size_t arena_bytes() const {
     return trail_.capacity() * sizeof(TrailEntry) +
-           domains_.capacity_bytes() +
+           domains_.capacity() * sizeof(AbstractSignal) +
            save_epoch_.capacity() * sizeof(std::uint64_t) +
            slot_queued_.capacity_bytes() +
            (level_count_.capacity() + gate_level_.capacity() +

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/time.hpp"
+
 namespace waveck {
 
 NetId Circuit::add_net(std::string name) {
@@ -120,7 +122,34 @@ void Circuit::finalize() {
   if (topo_order_.size() != gates_.size()) {
     throw CircuitError("circuit " + name_ + " contains a combinational cycle");
   }
+  check_time_range();
   finalized_ = true;
+}
+
+void Circuit::check_time_range(std::int64_t delta) const {
+  if (delta <= -Time::kMaxFinite || delta >= Time::kMaxFinite) {
+    throw CircuitError("delta " + std::to_string(delta) +
+                       " is outside the finite time range (magnitude below " +
+                       std::to_string(Time::kMaxFinite) + ")");
+  }
+  // Longest dmax arrival per net; every partial sum stays below `budget`,
+  // so nothing here can overflow.
+  const std::int64_t budget = Time::kMaxFinite - (delta < 0 ? -delta : delta);
+  std::vector<std::int64_t> arrival(nets_.size(), 0);
+  for (GateId g : topo_order_) {
+    const Gate& gate = gates_[g.index()];
+    std::int64_t a = 0;
+    for (NetId in : gate.ins) a = std::max(a, arrival[in.index()]);
+    if (gate.delay.dmax >= budget - a) {
+      const std::string sum =
+          delta == 0 ? "the" : "delta " + std::to_string(delta) + " plus the";
+      throw CircuitError(sum + " longest delay path to net " +
+                         nets_[gate.out.index()].name +
+                         " reaches the largest finite time " +
+                         std::to_string(Time::kMaxFinite));
+    }
+    arrival[gate.out.index()] = a + gate.delay.dmax;
+  }
 }
 
 std::optional<NetId> Circuit::find_net(std::string_view name) const {

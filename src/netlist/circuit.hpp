@@ -50,9 +50,16 @@ class Circuit {
   void declare_output(NetId n);
 
   /// Validates the structure (every net driven xor declared input, no
-  /// multiple drivers, acyclic), computes the topological gate order and
-  /// fanout lists. Throws CircuitError on violation.
+  /// multiple drivers, acyclic) and the delays (`check_time_range`),
+  /// computes the topological gate order and fanout lists. Throws
+  /// CircuitError on violation.
   void finalize();
+  /// Throws CircuitError unless |delta| plus the longest sum of gate dmax
+  /// along any path stays below Time::kMaxFinite. Inside that range a
+  /// check's bounds (delta shifted back along a path, arrivals shifted
+  /// forward) stay finite, so the engine, STA and the simulator agree.
+  /// `finalize` runs it with delta 0; a check's delta is tested before use.
+  void check_time_range(std::int64_t delta = 0) const;
   [[nodiscard]] bool finalized() const { return finalized_; }
 
   // ----- queries ----------------------------------------------------------

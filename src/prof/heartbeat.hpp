@@ -41,7 +41,7 @@ extern std::atomic<bool> g_heartbeat_enabled;
 void set_heartbeat_enabled(bool on);
 
 struct WorkerActivity {
-  std::atomic<const char*> output{nullptr};  // borrowed net name, or null
+  std::atomic<const char*> output{nullptr};  // interned check name, or null
   std::atomic<const char*> stage{nullptr};   // literal stage name, or null
   std::atomic<std::int64_t> chk{-1};
   std::atomic<std::uint64_t> since_ns{0};    // monotonic_ns at begin_check

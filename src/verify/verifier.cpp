@@ -173,11 +173,11 @@ CheckReport Verifier::run_check(const Circuit& c, Circuit* mutable_c,
                      flight_delta(delta));
     }
   }
-  // Profiler mark (thread-local, one relaxed store) and heartbeat board
-  // slot: both borrow the net's name, which outlives the check.
+  // Profiler mark (thread-local) and heartbeat board slot: both hold the
+  // interned copy of the net's name, which outlives the circuit.
   telemetry::set_check_mark(c.net(s).name.c_str());
   if (prof::heartbeat_enabled()) {
-    prof::ActivityBoard::begin_check(c.net(s).name.c_str(),
+    prof::ActivityBoard::begin_check(telemetry::check_mark(),
                                      span ? span->id() : -1);
   }
 

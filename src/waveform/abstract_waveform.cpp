@@ -14,15 +14,6 @@ std::ostream& operator<<(std::ostream& os, const LtInterval& i) {
   return os << i.str();
 }
 
-std::string AbstractWaveform::str() const {
-  if (is_empty()) return "phi";
-  return std::string(v ? "1|" : "0|") + lti.str();
-}
-
-std::ostream& operator<<(std::ostream& os, const AbstractWaveform& w) {
-  return os << w.str();
-}
-
 std::string AbstractSignal::str() const {
   std::ostringstream os;
   os << "(0|" << w[0].str() << ", 1|" << w[1].str() << ")";

@@ -1,4 +1,6 @@
-// Abstract waveforms (paper Def. 1) and abstract signals (paper Def. 2).
+// Abstract signals (paper Def. 2): one last-transition interval per final
+// value. An abstract waveform v|lmin..max (Def. 1) is a class bit plus an
+// LtInterval, so it has no type of its own: it is `cls(v)` of a signal.
 #pragma once
 
 #include <array>
@@ -9,47 +11,6 @@
 #include "waveform/lt_interval.hpp"
 
 namespace waveck {
-
-/// An abstract waveform  v|lmin..max : the binary waveforms that stabilise at
-/// logic value `v` after `max` and whose last time different from `v` is in
-/// [lmin, max]. The combination of a class bit and a last-transition
-/// interval.
-struct AbstractWaveform {
-  bool v = false;
-  LtInterval lti = LtInterval::top();
-
-  constexpr AbstractWaveform() = default;
-  constexpr AbstractWaveform(bool value, LtInterval i) : v(value), lti(i) {}
-  constexpr AbstractWaveform(bool value, Time lmin, Time max)
-      : v(value), lti(lmin, max) {}
-
-  [[nodiscard]] constexpr bool is_empty() const { return lti.is_empty(); }
-
-  friend constexpr bool operator==(const AbstractWaveform& a,
-                                   const AbstractWaveform& b) {
-    if (a.is_empty() || b.is_empty()) return a.is_empty() && b.is_empty();
-    return a.v == b.v && a.lti == b.lti;
-  }
-
-  /// Operations are defined on same-class operands (paper Section 3.1.1).
-  [[nodiscard]] constexpr AbstractWaveform intersect(
-      const AbstractWaveform& o) const {
-    assert(is_empty() || o.is_empty() || v == o.v);
-    return {v, lti.intersect(o.lti)};
-  }
-  [[nodiscard]] constexpr AbstractWaveform unite(
-      const AbstractWaveform& o) const {
-    assert(is_empty() || o.is_empty() || v == o.v);
-    return {is_empty() ? o.v : v, lti.hull(o.lti)};
-  }
-  [[nodiscard]] constexpr bool narrower_than(const AbstractWaveform& o) const {
-    return lti.narrower_than(o.lti);
-  }
-
-  [[nodiscard]] std::string str() const;
-};
-
-std::ostream& operator<<(std::ostream& os, const AbstractWaveform& w);
 
 /// An abstract signal: a pair of abstract waveforms, one per final value
 /// (paper Def. 2). `cls(0)` holds the last-transition interval of the

@@ -5,9 +5,9 @@
 // different from v*, lambda(f), lies in [lmin, max] (lambda of the constant-v
 // waveform is -inf). The interval [lmin, max] is the whole algebraic content
 // of an abstract waveform; the class bit v is carried separately by
-// AbstractWaveform / AbstractSignal. This header implements the interval
-// algebra: emptiness, intersection, hull-union (the paper's AW union),
-// narrowness, and delay shifts.
+// AbstractSignal (one interval per class). This header implements the
+// interval algebra: emptiness, intersection, hull-union (the paper's AW
+// union), narrowness, and delay shifts.
 #pragma once
 
 #include <iosfwd>

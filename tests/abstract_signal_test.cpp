@@ -5,26 +5,6 @@
 namespace waveck {
 namespace {
 
-TEST(AbstractWaveform, BasicOps) {
-  const AbstractWaveform w0{false, Time(0), Time(10)};
-  const AbstractWaveform w1{false, Time(5), Time(20)};
-  EXPECT_EQ(w0.intersect(w1).lti, LtInterval(Time(5), Time(10)));
-  EXPECT_EQ(w0.unite(w1).lti, LtInterval(Time(0), Time(20)));
-  EXPECT_FALSE(w0.is_empty());
-  EXPECT_TRUE(AbstractWaveform(true, Time(5), Time(4)).is_empty());
-}
-
-TEST(AbstractWaveform, EmptiesCompareEqualAcrossClasses) {
-  const AbstractWaveform e0{false, LtInterval::empty()};
-  const AbstractWaveform e1{true, LtInterval::empty()};
-  EXPECT_EQ(e0, e1);
-}
-
-TEST(AbstractWaveform, Printing) {
-  EXPECT_EQ(AbstractWaveform(true, Time(3), Time(9)).str(), "1|[3,9]");
-  EXPECT_EQ(AbstractWaveform(false, LtInterval::empty()).str(), "phi");
-}
-
 TEST(AbstractSignal, TopAndBottom) {
   EXPECT_TRUE(AbstractSignal::top().is_top());
   EXPECT_FALSE(AbstractSignal::top().is_bottom());

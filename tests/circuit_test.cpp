@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/diagnostics.hpp"
+#include "common/time.hpp"
 
 namespace waveck {
 namespace {
@@ -98,6 +99,44 @@ TEST(Circuit, UniformDelay) {
   for (GateId g : c.all_gates()) {
     EXPECT_EQ(c.gate(g).delay, DelaySpec::fixed(10));
   }
+}
+
+/// m = AND(a, b), y = BUF(m), z = NOT(m), with m and y at delay `d`.
+Circuit series_pair(std::int64_t d) {
+  Circuit c("series");
+  const NetId a = c.add_net("a");
+  const NetId b = c.add_net("b");
+  const NetId m = c.add_net("m");
+  const NetId y = c.add_net("y");
+  const NetId z = c.add_net("z");
+  c.declare_input(a);
+  c.declare_input(b);
+  c.add_gate(GateType::kAnd, m, {a, b}, DelaySpec::fixed(d));
+  c.add_gate(GateType::kBuf, y, {m}, DelaySpec::fixed(d));
+  c.add_gate(GateType::kNot, z, {m}, DelaySpec::fixed(1));
+  c.declare_output(y);
+  c.declare_output(z);
+  c.finalize();
+  return c;
+}
+
+TEST(Circuit, TimeRangeBoundsDelayPathsAndDeltas) {
+  // A path of 4e18 passes Time's largest finite value: STA and the
+  // simulator would report it while the engine saturates, so the netlist
+  // is rejected before any analysis.
+  EXPECT_THROW((void)series_pair(2'000'000'000'000'000'000), CircuitError);
+  const Circuit c = series_pair(1'000'000'000'000'000'000);  // path 2e18
+  EXPECT_NO_THROW(c.check_time_range(300'000'000'000'000'000));
+  EXPECT_NO_THROW(c.check_time_range(-300'000'000'000'000'000));
+  // |delta| plus the 2e18 path must stay below Time::kMaxFinite.
+  EXPECT_THROW(c.check_time_range(400'000'000'000'000'000), CircuitError);
+  EXPECT_THROW(c.check_time_range(-400'000'000'000'000'000), CircuitError);
+  // A delta outside the finite range fails whatever the circuit.
+  const Circuit small = two_gate();
+  EXPECT_NO_THROW(small.check_time_range(Time::kMaxFinite - 6));
+  EXPECT_THROW(small.check_time_range(Time::kMaxFinite - 5), CircuitError);
+  EXPECT_THROW(small.check_time_range(Time::kMaxFinite), CircuitError);
+  EXPECT_THROW(small.check_time_range(INT64_MIN), CircuitError);
 }
 
 TEST(Circuit, ReconvergentStemDetection) {

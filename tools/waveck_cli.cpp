@@ -154,7 +154,9 @@ int cmd_sta(const Circuit& c) {
 int cmd_check(const Circuit& c, const std::string& delta_str,
               const std::string& out_name, bool json, bool canon,
               std::uint64_t timeout_ms) {
-  const Time delta(std::stoll(delta_str));
+  const std::int64_t d = std::stoll(delta_str);
+  c.check_time_range(d);
+  const Time delta(d);
   // --timeout-ms N: absolute deadline on the monotonic clock; checks that
   // outlive it conclude kAbandoned (exit code 0: no violation *proven*).
   const std::uint64_t deadline =

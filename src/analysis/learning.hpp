@@ -2,10 +2,19 @@
 //
 // SOCRATES-style pre-processing: for every net y and class v, assert y = v
 // on a scratch constraint system and propagate; every other net x that
-// collapses to a single class w yields the implication (y=v) => (x=w) and
-// its contrapositive (x=!w) => (y=!v). Classes that propagate to an outright
-// contradiction are globally impossible and reported separately so callers
-// can restrict them permanently.
+// collapses to a single class w is a derived fact (y=v) => (x=w). Only what
+// propagation cannot rediscover is stored: never the fact itself (the gate
+// fixpoint derives it again whenever y is decided to v), and its
+// contrapositive (x=!w) => (y=!v) only when the probe x=!w did not collapse
+// y to !v itself. Classes that propagate to an outright contradiction are
+// globally impossible and reported separately so callers can restrict them
+// permanently.
+//
+// Why the pruning cannot move a fixpoint: a gate fixpoint D holding only
+// class v of y lies below top with y=v, so below that probe's greatest
+// fixpoint, which holds only class w of x; by monotonicity D does too. A
+// dropped pair is therefore a no-op at every gate fixpoint, and the greatest
+// fixpoint of gates plus table (Theorem 1) is that of the full closure.
 //
 // The implications are derived from the Boolean structure only (domains
 // start at top), so they remain valid in any narrower state -- in
@@ -23,20 +32,18 @@ struct LearningResult {
   ImplicationTable table;
   /// (net, class) pairs that are globally unsatisfiable.
   std::vector<std::pair<NetId, bool>> impossible;
-  std::size_t direct = 0;          // implications found by propagation
-  std::size_t contrapositive = 0;  // added contrapositives
+  /// Facts (y=v) => (x=w) the probes derived; the table keeps a subset of
+  /// their contrapositives.
+  std::size_t derived = 0;
 };
 
 struct LearningOptions {
   /// Skip learning for circuits with more nets than this (pre-processing
   /// cost guard); an empty table is returned.
   std::size_t max_nets = 200000;
-  /// Record the contrapositive of each discovered implication (SOCRATES
-  /// stores these explicitly; they are the non-local ones local propagation
-  /// cannot rediscover).
-  bool contrapositives = true;
-  /// Stop recording once the table reaches this size (memory guard on
-  /// implication-dense circuits such as long carry chains).
+  /// Stop probing once the probes have derived this many facts (memory
+  /// guard on implication-dense circuits such as long carry chains). The
+  /// table is a subset of their contrapositives, so this bounds it too.
   std::size_t max_implications = 2'000'000;
 };
 

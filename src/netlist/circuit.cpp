@@ -132,24 +132,42 @@ void Circuit::check_time_range(std::int64_t delta) const {
                        " is outside the finite time range (magnitude below " +
                        std::to_string(Time::kMaxFinite) + ")");
   }
-  // Longest dmax arrival per net; every partial sum stays below `budget`,
-  // so nothing here can overflow.
-  const std::int64_t budget = Time::kMaxFinite - (delta < 0 ? -delta : delta);
+  const GateId g =
+      dmax_arrivals(Time::kMaxFinite - (delta < 0 ? -delta : delta)).first;
+  if (g.valid()) {
+    const std::string sum =
+        delta == 0 ? "the" : "delta " + std::to_string(delta) + " plus the";
+    throw CircuitError(sum + " longest delay path to net " +
+                       nets_[gates_[g.index()].out.index()].name +
+                       " reaches the largest finite time " +
+                       std::to_string(Time::kMaxFinite));
+  }
+}
+
+std::int64_t Circuit::longest_path() const {
+  const auto [g, longest] = dmax_arrivals(Time::kMaxFinite);
+  return g.valid() ? Time::kMaxFinite : longest;
+}
+
+bool Circuit::delta_in_range(std::int64_t delta, std::int64_t longest_path) {
+  return delta > -Time::kMaxFinite && delta < Time::kMaxFinite &&
+         longest_path < Time::kMaxFinite - (delta < 0 ? -delta : delta);
+}
+
+std::pair<GateId, std::int64_t> Circuit::dmax_arrivals(
+    std::int64_t budget) const {
+  // Every partial sum stays below `budget`, so nothing here can overflow.
   std::vector<std::int64_t> arrival(nets_.size(), 0);
+  std::int64_t longest = 0;
   for (GateId g : topo_order_) {
     const Gate& gate = gates_[g.index()];
     std::int64_t a = 0;
     for (NetId in : gate.ins) a = std::max(a, arrival[in.index()]);
-    if (gate.delay.dmax >= budget - a) {
-      const std::string sum =
-          delta == 0 ? "the" : "delta " + std::to_string(delta) + " plus the";
-      throw CircuitError(sum + " longest delay path to net " +
-                         nets_[gate.out.index()].name +
-                         " reaches the largest finite time " +
-                         std::to_string(Time::kMaxFinite));
-    }
+    if (gate.delay.dmax >= budget - a) return {g, longest};
     arrival[gate.out.index()] = a + gate.delay.dmax;
+    longest = std::max(longest, a + gate.delay.dmax);
   }
+  return {GateId{}, longest};
 }
 
 std::optional<NetId> Circuit::find_net(std::string_view name) const {
@@ -176,6 +194,7 @@ void Circuit::set_uniform_delay(DelaySpec d) {
     g.delay.dmin = d.dmin;
     g.delay.dmax = d.dmax;  // correlation groups survive re-annotation
   }
+  if (finalized_) check_time_range();
 }
 
 std::vector<NetId> Circuit::fanout_stems() const {

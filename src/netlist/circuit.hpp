@@ -7,6 +7,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/diagnostics.hpp"
@@ -58,8 +59,17 @@ class Circuit {
   /// along any path stays below Time::kMaxFinite. Inside that range a
   /// check's bounds (delta shifted back along a path, arrivals shifted
   /// forward) stay finite, so the engine, STA and the simulator agree.
-  /// `finalize` runs it with delta 0; a check's delta is tested before use.
+  /// `finalize` runs it with delta 0, and so do `set_uniform_delay` and
+  /// `read_delays` on a finalized circuit; a check's delta is tested before
+  /// use. Delays written through `gate_mut` are not re-checked.
   void check_time_range(std::int64_t delta = 0) const;
+  /// The longest sum of gate dmax along any path, saturated at
+  /// Time::kMaxFinite (finalized only). A delta is inside the range
+  /// `check_time_range` accepts iff `delta_in_range(delta, longest_path())`,
+  /// so a caller checking many deltas computes the path once.
+  [[nodiscard]] std::int64_t longest_path() const;
+  [[nodiscard]] static bool delta_in_range(std::int64_t delta,
+                                           std::int64_t longest_path);
   [[nodiscard]] bool finalized() const { return finalized_; }
 
   // ----- queries ----------------------------------------------------------
@@ -88,6 +98,8 @@ class Circuit {
   [[nodiscard]] std::vector<GateId> all_gates() const;
 
   /// Sets every gate delay to `d` (the paper's uniform-delay experiments).
+  /// Throws CircuitError when a finalized circuit leaves the finite time
+  /// range (`check_time_range`).
   void set_uniform_delay(DelaySpec d);
 
   /// Nets with >= 2 fanout branches (candidate stems for stem correlation).
@@ -106,6 +118,12 @@ class Circuit {
   std::vector<GateId> topo_order_;
   std::unordered_map<std::string, NetId> by_name_;
   bool finalized_ = false;
+
+  /// Walks the dmax arrivals in topological order; returns the first gate
+  /// whose output arrival reaches `budget` (invalid when none does) and
+  /// the largest arrival below it.
+  [[nodiscard]] std::pair<GateId, std::int64_t> dmax_arrivals(
+      std::int64_t budget) const;
 };
 
 }  // namespace waveck

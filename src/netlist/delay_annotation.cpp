@@ -67,6 +67,7 @@ std::size_t read_delays(std::istream& is, Circuit& c,
       }
     }
   }
+  if (c.finalized()) c.check_time_range();
   return applied;
 }
 

@@ -17,7 +17,9 @@
 namespace waveck {
 
 /// Applies annotations from `is` to `c`. Throws ParseError on malformed
-/// records or unknown nets. Returns the number of gates annotated.
+/// records or unknown nets, and CircuitError when a finalized `c` leaves
+/// the finite time range (Circuit::check_time_range). Returns the number
+/// of gates annotated.
 std::size_t read_delays(std::istream& is, Circuit& c,
                         const std::string& source_name = "delays");
 std::size_t read_delays_string(const std::string& text, Circuit& c);

@@ -30,6 +30,9 @@ namespace waveck::serve {
 ///   load_failed      netlist file unreadable/invalid
 ///   overloaded       admission control: the bounded queue is full
 ///   deadline_expired the request's deadline passed before it ran
+///   out_of_range     check delta whose magnitude plus the circuit's longest
+///                    delay path reaches Time::kMaxFinite (`waveck check`
+///                    refuses the same deltas with rc 2)
 ///   shutting_down    the server is draining; request not executed
 enum class Op : std::uint8_t {
   kPing,

@@ -25,6 +25,7 @@ ResidentCircuit::ResidentCircuit(std::string name, Circuit c,
                                  const std::atomic<bool>* cancel_flag)
     : name_(std::move(name)),
       circuit_(std::move(c)),
+      longest_path_(circuit_.longest_path()),
       verifier_(circuit_, resident_options()),
       scheduler_(verifier_, {.jobs = jobs}) {
   hash_ = content_hash_hex(circuit_);

@@ -63,6 +63,9 @@ class ResidentCircuit {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const std::string& hash() const { return hash_; }
   [[nodiscard]] const Circuit& circuit() const { return circuit_; }
+  /// Circuit::longest_path, computed once at load: a check's delta is in
+  /// range iff Circuit::delta_in_range(delta, longest_path()).
+  [[nodiscard]] std::int64_t longest_path() const { return longest_path_; }
   [[nodiscard]] Verifier& verifier() { return verifier_; }
   [[nodiscard]] sched::CheckScheduler& scheduler() { return scheduler_; }
   [[nodiscard]] ResidentStats& stats() { return stats_; }
@@ -75,6 +78,7 @@ class ResidentCircuit {
   std::string name_;
   std::string hash_;
   Circuit circuit_;  // must outlive verifier_ (holds a const reference)
+  std::int64_t longest_path_;
   Verifier verifier_;
   sched::CheckScheduler scheduler_;
   ResidentStats stats_;

@@ -645,6 +645,15 @@ void Server::run_checks(const ResidentPtr& resident,
       send(p.conn, error_response(p.req.id, Op::kCheck, "deadline_expired",
                                   "deadline passed while queued"));
       queue_expired = true;
+    } else if (!Circuit::delta_in_range(p.req.delta,
+                                        resident->longest_path())) {
+      counter("serve.errors").inc();
+      send(p.conn,
+           error_response(p.req.id, Op::kCheck, "out_of_range",
+                          "delta " + std::to_string(p.req.delta) +
+                              " plus the longest delay path of circuit \"" +
+                              p.req.circuit +
+                              "\" leaves the finite time range"));
     } else {
       live.push_back(std::move(p));
     }

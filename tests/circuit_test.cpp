@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+
+#include <unistd.h>
+
 #include "common/diagnostics.hpp"
 #include "common/time.hpp"
+#include "netlist/delay_annotation.hpp"
 
 namespace waveck {
 namespace {
@@ -137,6 +145,75 @@ TEST(Circuit, TimeRangeBoundsDelayPathsAndDeltas) {
   EXPECT_THROW(small.check_time_range(Time::kMaxFinite - 5), CircuitError);
   EXPECT_THROW(small.check_time_range(Time::kMaxFinite), CircuitError);
   EXPECT_THROW(small.check_time_range(INT64_MIN), CircuitError);
+}
+
+TEST(Circuit, LongestPathDecidesTheDeltaRange) {
+  const Circuit c = series_pair(1'000'000'000'000'000'000);
+  EXPECT_EQ(c.longest_path(), 2'000'000'000'000'000'000);
+  EXPECT_EQ(two_gate().longest_path(), 5);
+  for (const std::int64_t delta :
+       {std::int64_t{0}, std::int64_t{300'000'000'000'000'000},
+        std::int64_t{-300'000'000'000'000'000},
+        Time::kMaxFinite - 2'000'000'000'000'000'000,
+        Time::kMaxFinite - 2'000'000'000'000'000'001,
+        -(Time::kMaxFinite - 2'000'000'000'000'000'001),
+        std::int64_t{400'000'000'000'000'000}, Time::kMaxFinite,
+        -Time::kMaxFinite, std::int64_t{INT64_MAX}, std::int64_t{INT64_MIN}}) {
+    bool accepted = true;
+    try {
+      c.check_time_range(delta);
+    } catch (const CircuitError&) {
+      accepted = false;
+    }
+    EXPECT_EQ(Circuit::delta_in_range(delta, c.longest_path()), accepted)
+        << delta;
+  }
+  // Delays written through gate_mut are not re-checked; the path saturates.
+  Circuit wide = series_pair(1);
+  for (GateId g : wide.all_gates()) {
+    wide.gate_mut(g).delay = DelaySpec::fixed(Time::kMaxFinite - 1);
+  }
+  EXPECT_EQ(wide.longest_path(), Time::kMaxFinite);
+  EXPECT_FALSE(Circuit::delta_in_range(0, wide.longest_path()));
+}
+
+TEST(Circuit, DelaysSetAfterFinalizeAreRangeChecked) {
+  // Two gates of 2e18 in series pass Time's largest finite value (~2.3e18),
+  // whichever path sets them on the finalized netlist.
+  const std::string records = "m 2000000000000000000 2000000000000000000\n"
+                              "y 2000000000000000000 2000000000000000000\n";
+  {
+    Circuit c = series_pair(1);
+    EXPECT_THROW(
+        c.set_uniform_delay(DelaySpec::fixed(2'000'000'000'000'000'000)),
+        CircuitError);
+  }
+  {
+    Circuit c = series_pair(1);
+    std::istringstream is(records);
+    EXPECT_THROW(read_delays(is, c), CircuitError);
+  }
+  {
+    Circuit c = series_pair(1);
+    EXPECT_THROW(read_delays_string(records, c), CircuitError);
+    // The default record reaches every gate the same way.
+    Circuit d = series_pair(1);
+    EXPECT_THROW(read_delays_string("* 0 2000000000000000000\n", d),
+                 CircuitError);
+  }
+  {
+    const std::string path =
+        "circuit_test_" + std::to_string(getpid()) + ".delays";
+    std::ofstream(path) << records;
+    Circuit c = series_pair(1);
+    EXPECT_THROW(read_delays_file(path, c), CircuitError);
+    std::remove(path.c_str());
+  }
+  // Delays inside the range still apply.
+  Circuit c = series_pair(1);
+  EXPECT_NO_THROW(
+      c.set_uniform_delay(DelaySpec::fixed(1'000'000'000'000'000'000)));
+  EXPECT_EQ(c.longest_path(), 2'000'000'000'000'000'000);
 }
 
 TEST(Circuit, ReconvergentStemDetection) {

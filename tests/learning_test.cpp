@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <random>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -14,37 +15,38 @@
 namespace waveck {
 namespace {
 
-/// The hash-set learner the flat one replaced, kept as an oracle: every
-/// (y=v => x=w) pair is deduplicated through a set of packed keys, and
-/// consequences are grouped per antecedent in a hash map, in insertion order.
+/// The hash-set learner the flat one replaced, kept as an oracle of the full
+/// SOCRATES closure: every fact a probe derives and its contrapositive,
+/// deduplicated through a set of packed keys, in insertion order. Probing
+/// stops once `derived` (every fact found, duplicates included) reaches the
+/// cap, as in the learner.
 struct OracleLearning {
-  std::unordered_map<std::uint64_t, std::vector<ImplicationTable::Consequence>>
-      table;
-  std::size_t size = 0;
+  std::vector<ImplicationTable::Implication> closure;
+  std::unordered_set<std::uint64_t> direct;  // pair keys of derived facts
   std::vector<std::pair<NetId, bool>> impossible;
-  std::size_t direct = 0;
-  std::size_t contrapositive = 0;
+  std::size_t derived = 0;
 };
 
 std::uint64_t oracle_key(NetId y, bool v) {
   return (std::uint64_t{y.value()} << 1) | (v ? 1 : 0);
 }
 
+std::uint64_t pair_key(NetId y, bool v, NetId x, bool w) {
+  return (oracle_key(y, v) << 32) | oracle_key(x, w);
+}
+
 OracleLearning oracle_learn(const Circuit& c, const LearningOptions& opt) {
   OracleLearning res;
   if (c.num_nets() > opt.max_nets) return res;
-  const auto pair_key = [](NetId y, bool v, NetId x, bool w) {
-    return (std::uint64_t{y.value()} << 33) | (std::uint64_t{v} << 32) |
-           (std::uint64_t{x.value()} << 1) | std::uint64_t{w};
-  };
-  const auto add = [&](NetId y, bool v, NetId x, bool w) {
-    res.table[oracle_key(y, v)].push_back({x, w});
-    ++res.size;
-  };
   ConstraintSystem cs(c);
   std::unordered_set<std::uint64_t> seen;
+  const auto add = [&](NetId y, bool v, NetId x, bool w) {
+    if (seen.insert(pair_key(y, v, x, w)).second) {
+      res.closure.push_back({y, v, {x, w}});
+    }
+  };
   for (NetId y : c.all_nets()) {
-    if (res.size >= opt.max_implications) break;
+    if (res.derived >= opt.max_implications) break;
     for (int v = 0; v <= 1; ++v) {
       const bool vy = v != 0;
       const auto mark = cs.push_state();
@@ -60,15 +62,10 @@ OracleLearning oracle_learn(const Circuit& c, const LearningOptions& opt) {
         const AbstractSignal d = cs.domain(x);
         if (!d.single_class()) continue;
         const bool wx = d.the_class();
-        if (seen.insert(pair_key(y, vy, x, wx)).second) {
-          add(y, vy, x, wx);
-          ++res.direct;
-        }
-        if (opt.contrapositives &&
-            seen.insert(pair_key(x, !wx, y, !vy)).second) {
-          add(x, !wx, y, !vy);
-          ++res.contrapositive;
-        }
+        ++res.derived;
+        res.direct.insert(pair_key(y, vy, x, wx));
+        add(y, vy, x, wx);
+        add(x, !wx, y, !vy);
       }
       cs.pop_to(mark);
     }
@@ -76,22 +73,38 @@ OracleLearning oracle_learn(const Circuit& c, const LearningOptions& opt) {
   return res;
 }
 
-/// Same consequences in the same order for every literal, same counters.
-/// Returns the learned table's size.
+/// The part of the closure propagation cannot rederive: every pair no probe
+/// derived, grouped per antecedent in closure order.
+std::unordered_map<std::uint64_t, std::vector<ImplicationTable::Consequence>>
+oracle_kept(const OracleLearning& o) {
+  std::unordered_map<std::uint64_t,
+                     std::vector<ImplicationTable::Consequence>> kept;
+  for (const auto& [y, v, then] : o.closure) {
+    if (!o.direct.contains(pair_key(y, v, then.net, then.cls))) {
+      kept[oracle_key(y, v)].push_back(then);
+    }
+  }
+  return kept;
+}
+
+/// Same kept consequences in the same order for every literal, same
+/// counters. Returns the number of derived facts.
 std::size_t expect_matches_oracle(const Circuit& c, const LearningOptions& opt,
                                   const std::string& label) {
   const LearningResult got = learn_implications(c, opt);
   const OracleLearning want = oracle_learn(c, opt);
-  EXPECT_EQ(got.table.size(), want.size) << label;
-  EXPECT_EQ(got.direct, want.direct) << label;
-  EXPECT_EQ(got.contrapositive, want.contrapositive) << label;
+  const auto kept = oracle_kept(want);
+  std::size_t kept_size = 0;
+  for (const auto& [lit, cons] : kept) kept_size += cons.size();
+  EXPECT_EQ(got.table.size(), kept_size) << label;
+  EXPECT_EQ(got.derived, want.derived) << label;
   EXPECT_EQ(got.impossible, want.impossible) << label;
   std::size_t mismatched = 0;
   for (NetId y : c.all_nets()) {
     for (const bool v : {false, true}) {
       const auto of = got.table.of(y, v);
-      const auto it = want.table.find(oracle_key(y, v));
-      const std::size_t n = it == want.table.end() ? 0 : it->second.size();
+      const auto it = kept.find(oracle_key(y, v));
+      const std::size_t n = it == kept.end() ? 0 : it->second.size();
       bool same = of.size() == n;
       for (std::size_t i = 0; same && i < n; ++i) {
         same = of[i].net == it->second[i].net && of[i].cls == it->second[i].cls;
@@ -100,7 +113,60 @@ std::size_t expect_matches_oracle(const Circuit& c, const LearningOptions& opt,
     }
   }
   EXPECT_EQ(mismatched, 0u) << label << ": literals whose consequences differ";
-  return got.table.size();
+  return got.derived;
+}
+
+/// Decides `cls` of `n` on both systems and drains them; the pruned table
+/// and the full closure must reach the same status and, unless the drain
+/// hit a conflict, the same domains.
+void expect_same_decision(const Circuit& c, ConstraintSystem& pruned,
+                          ConstraintSystem& full, NetId n, bool cls,
+                          const std::string& label) {
+  pruned.restrict_domain(n, AbstractSignal::class_only(cls));
+  full.restrict_domain(n, AbstractSignal::class_only(cls));
+  const auto status = pruned.reach_fixpoint();
+  ASSERT_EQ(status, full.reach_fixpoint()) << label;
+  // A drain that empties a domain stops after that level sweep, so the
+  // domains it leaves depend on the evaluation order; the search only
+  // backtracks from them. Every other return is the greatest fixpoint.
+  if (status == ConstraintSystem::Status::kNoViolation) return;
+  std::size_t differing = 0;
+  for (NetId x : c.all_nets()) {
+    differing += pruned.domain(x) == full.domain(x) ? 0 : 1;
+  }
+  EXPECT_EQ(differing, 0u) << label << ": nets whose domains differ";
+}
+
+/// Seeded random class-decision sequences: 24 decisions each, a decision
+/// that conflicts is undone, and every sequence starts again from the root.
+void expect_same_fixpoints(const Circuit& c, std::uint64_t seed,
+                           const std::string& label) {
+  const LearningResult learned = learn_implications(c);
+  const ImplicationTable closure(c.num_nets(), oracle_learn(c, {}).closure);
+  ASSERT_LT(learned.table.size(), closure.size()) << label;
+  ConstraintSystem pruned(c), full(c);
+  pruned.set_implications(&learned.table);
+  full.set_implications(&closure);
+  std::mt19937_64 rng(seed);
+  for (int sequence = 0; sequence < 8; ++sequence) {
+    const auto root = pruned.push_state();
+    const auto full_root = full.push_state();
+    for (int depth = 0; depth < 24; ++depth) {
+      const NetId n{static_cast<std::size_t>(rng() % c.num_nets())};
+      const bool cls = (rng() & 1) != 0;
+      const auto mark = pruned.push_state();
+      const auto full_mark = full.push_state();
+      expect_same_decision(c, pruned, full, n, cls,
+                           label + " sequence " + std::to_string(sequence) +
+                               " depth " + std::to_string(depth));
+      if (pruned.inconsistent()) {
+        pruned.pop_to(mark);
+        full.pop_to(full_mark);
+      }
+    }
+    pruned.pop_to(root);
+    full.pop_to(full_root);
+  }
 }
 
 bool implies(const ImplicationTable& t, NetId y, bool v, NetId x, bool w) {
@@ -108,6 +174,24 @@ bool implies(const ImplicationTable& t, NetId y, bool v, NetId x, bool w) {
     if (cons.net == x && cons.cls == w) return true;
   }
   return false;
+}
+
+/// True iff deciding y=v on a fresh system (no table) collapses x to w.
+bool propagates(const Circuit& c, NetId y, bool v, NetId x, bool w) {
+  ConstraintSystem cs(c);
+  cs.restrict_domain(y, AbstractSignal::class_only(v));
+  if (cs.reach_fixpoint() == ConstraintSystem::Status::kNoViolation) {
+    return false;
+  }
+  const AbstractSignal& d = cs.domain(x);
+  return d.single_class() && d.the_class() == w;
+}
+
+/// Propagation derives (y=v => x=w), so the table does not store it.
+void expect_rederived_not_stored(const Circuit& c, const LearningResult& res,
+                                 NetId y, bool v, NetId x, bool w) {
+  EXPECT_TRUE(propagates(c, y, v, x, w));
+  EXPECT_FALSE(implies(res.table, y, v, x, w));
 }
 
 TEST(Learning, ChainImplications) {
@@ -123,15 +207,20 @@ TEST(Learning, ChainImplications) {
   c.finalize();
 
   const LearningResult res = learn_implications(c);
-  EXPECT_TRUE(implies(res.table, y, false, a, true));
-  EXPECT_TRUE(implies(res.table, y, false, b, true));
-  EXPECT_TRUE(implies(res.table, y, false, x, true));
+  expect_rederived_not_stored(c, res, y, false, a, true);
+  expect_rederived_not_stored(c, res, y, false, b, true);
+  expect_rederived_not_stored(c, res, y, false, x, true);
   // Forward: a=0 => x=0 => y=1.
-  EXPECT_TRUE(implies(res.table, a, false, y, true));
+  expect_rederived_not_stored(c, res, a, false, y, true);
   EXPECT_TRUE(res.impossible.empty());
+  // Every fact of a fanout-free circuit is local: nothing is stored.
+  EXPECT_GT(res.derived, 0u);
+  EXPECT_EQ(res.table.size(), 0u);
 }
 
 TEST(Learning, ContrapositivesRecorded) {
+  // a=0 => x=1 and its contrapositive x=0 => a=1 are both found directly
+  // by propagation, so neither is recorded.
   Circuit c("c");
   const NetId a = c.add_net("a"), x = c.add_net("x");
   c.declare_input(a);
@@ -139,10 +228,10 @@ TEST(Learning, ContrapositivesRecorded) {
   c.declare_output(x);
   c.finalize();
   const LearningResult res = learn_implications(c);
-  // a=0 => x=1, contrapositive x=0 => a=1 (also found directly here).
-  EXPECT_TRUE(implies(res.table, a, false, x, true));
-  EXPECT_TRUE(implies(res.table, x, false, a, true));
-  EXPECT_GT(res.direct, 0u);
+  expect_rederived_not_stored(c, res, a, false, x, true);
+  expect_rederived_not_stored(c, res, x, false, a, true);
+  EXPECT_EQ(res.derived, 4u);
+  EXPECT_EQ(res.table.size(), 0u);
 }
 
 TEST(Learning, ConstantNetClassImpossible) {
@@ -196,8 +285,9 @@ TEST(Learning, NorMappedC17HasImplications) {
 }
 
 TEST(Learning, EmptySpanForLiteralWithoutConsequences) {
-  // A lone input feeding a buffer: a=0 => z=0, but nothing is implied by
-  // the unrelated input b, and a default table answers every literal.
+  // A lone input feeding a buffer: a=0 => z=0 is rederived by propagation,
+  // so not stored; nothing is implied by the unrelated input b, and a
+  // default table answers every literal.
   Circuit c("lone");
   const NetId a = c.add_net("a"), b = c.add_net("b"), z = c.add_net("z");
   c.declare_input(a);
@@ -207,7 +297,8 @@ TEST(Learning, EmptySpanForLiteralWithoutConsequences) {
   c.declare_output(b);
   c.finalize();
   const LearningResult res = learn_implications(c);
-  EXPECT_FALSE(res.table.of(a, false).empty());
+  expect_rederived_not_stored(c, res, a, false, z, false);
+  EXPECT_TRUE(res.table.of(a, false).empty());
   EXPECT_TRUE(res.table.of(b, false).empty());
   EXPECT_TRUE(res.table.of(b, true).empty());
   const ImplicationTable none;
@@ -238,21 +329,31 @@ TEST(Learning, MatchesHashSetOracleOnRandomCircuits) {
   }
 }
 
-TEST(Learning, MatchesHashSetOracleWithoutContrapositives) {
-  LearningOptions opt;
-  opt.contrapositives = false;
-  for (const char* name : {"c432", "c880", "c1908"}) {
-    const Circuit c = gen::prepare_for_experiment(gen::build_raw(name));
-    expect_matches_oracle(c, opt, name);
-  }
-}
-
 TEST(Learning, MatchesHashSetOracleUnderImplicationCap) {
   for (const std::size_t cap : {1u, 100u, 5000u}) {
     LearningOptions opt;
     opt.max_implications = cap;
     const Circuit c = gen::prepare_for_experiment(gen::build_raw("c880"));
     EXPECT_GE(expect_matches_oracle(c, opt, "cap " + std::to_string(cap)), cap);
+  }
+}
+
+TEST(Learning, PrunedTableReachesTheSameFixpoint) {
+  for (const char* name : {"c17", "c432", "c499", "c880", "c1908"}) {
+    const Circuit c = gen::prepare_for_experiment(gen::build_raw(name));
+    expect_same_fixpoints(c, 1, name);
+  }
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    gen::StructuredCircuitConfig rc;
+    rc.inputs = 14;
+    rc.gates = 60;
+    rc.outputs = 4;
+    rc.false_path_blocks = 1 + seed % 2;
+    rc.seed = seed;
+    const Circuit raw = gen::structured_random_circuit(rc);
+    const std::string label = "seed " + std::to_string(seed);
+    expect_same_fixpoints(map_to_nor(decompose_for_solver(raw)), seed, label);
+    expect_same_fixpoints(decompose_for_solver(raw), seed, label + " unmapped");
   }
 }
 

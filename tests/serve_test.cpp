@@ -305,6 +305,53 @@ TEST(ServeProtocol, ServedReportIsByteIdenticalToOfflineCanonical) {
   EXPECT_EQ(res->stats().checks.load(), 3u);
 }
 
+TEST(ServeProtocol, DeltaOutsideTheFiniteRangeIsOutOfRange) {
+  // A check delta whose magnitude plus the longest delay path reaches
+  // Time::kMaxFinite answers out_of_range, as `waveck check` refuses it,
+  // instead of a verdict the engine's saturated arithmetic got wrong.
+  Circuit csa = gen::carry_skip_adder(8, 2);
+  const std::string path = write_temp_bench(csa, "range");
+  const Circuit c = offline_load(path);
+  const std::int64_t longest = c.longest_path();
+  ASSERT_GT(longest, 0);
+  const std::string out_name = c.net(c.outputs().front()).name;
+
+  TestServer ts({});
+  serve::Client cl = ts.client();
+  auto r = cl.round_trip(R"({"op":"load","name":"r","file":")" + path +
+                         R"("})");
+  ASSERT_TRUE(r.has_value());
+  ASSERT_TRUE(ok_of(parse(*r))) << *r;
+
+  const std::int64_t edge = Time::kMaxFinite - longest;
+  for (const std::int64_t delta :
+       {std::int64_t{3'000'000'000'000'000'000},
+        std::int64_t{-3'000'000'000'000'000'000}, edge, -edge}) {
+    for (const std::string& output : {std::string(), out_name}) {
+      r = cl.round_trip(
+          R"({"id":"x","op":"check","circuit":"r","delta":)" +
+          std::to_string(delta) +
+          (output.empty() ? "" : R"(,"output":")" + output + "\"") + "}");
+      ASSERT_TRUE(r.has_value());
+      const explain::TraceEvent ev = parse(*r);
+      EXPECT_FALSE(ok_of(ev)) << *r;
+      EXPECT_EQ(ev.str("error"), "out_of_range") << *r;
+      EXPECT_EQ(ev.str("id"), "x");
+    }
+  }
+  // One step inside the range the check runs: N above every path, V below.
+  r = cl.round_trip(R"({"op":"check","circuit":"r","delta":)" +
+                    std::to_string(edge - 1) + "}");
+  ASSERT_TRUE(r.has_value());
+  EXPECT_TRUE(line_ok(*r)) << *r;
+  EXPECT_NE(r->find(R"("conclusion":"N")"), std::string::npos) << *r;
+  r = cl.round_trip(R"({"op":"check","circuit":"r","delta":)" +
+                    std::to_string(1 - edge) + "}");
+  ASSERT_TRUE(r.has_value());
+  EXPECT_TRUE(line_ok(*r)) << *r;
+  EXPECT_NE(r->find(R"("conclusion":"V")"), std::string::npos) << *r;
+}
+
 TEST(ServeProtocol, QueueExpiredDeadlineIsRejectedWithoutRunning) {
   Circuit csa = gen::carry_skip_adder(8, 2);
   const std::string path = write_temp_bench(csa, "ddl");

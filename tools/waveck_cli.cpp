@@ -250,9 +250,8 @@ int cmd_outputs(const Circuit& c) {
 
 int cmd_learn(const Circuit& c) {
   const auto res = learn_implications(c);
-  std::cout << "implications: " << res.table.size() << " (direct "
-            << res.direct << ", contrapositive " << res.contrapositive
-            << ")\n";
+  std::cout << "implications stored: " << res.table.size()
+            << " (facts derived by probing: " << res.derived << ")\n";
   std::cout << "globally impossible net classes: " << res.impossible.size()
             << "\n";
   for (const auto& [net, cls] : res.impossible) {

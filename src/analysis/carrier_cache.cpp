@@ -7,14 +7,6 @@
 
 namespace waveck {
 
-namespace {
-void flight_cache(std::uint8_t kind_code) {
-  if (flight::enabled()) {
-    flight::record(flight::Kind::kCache, {}, 0, 0, kind_code);
-  }
-}
-}  // namespace
-
 CarrierCache::CarrierCache(ConstraintSystem& cs, const TimingCheck& check)
     : cs_(cs),
       check_(check),
@@ -134,18 +126,12 @@ void CarrierCache::sync() {
     built_ = true;
     synced_gen_ = gen;
     ctr_misses_.inc();
-    if (telemetry::trace_enabled()) {
-      telemetry::emit("cache", {{"kind", "miss"}});
-    }
-    flight_cache(flight::kCacheMiss);
+    flight::record(flight::Kind::kCache, {}, 0, 0, flight::kMiss);
     return;
   }
   if (synced_gen_ == gen) {
     ctr_hits_.inc();
-    if (telemetry::trace_enabled()) {
-      telemetry::emit("cache", {{"kind", "hit"}});
-    }
-    flight_cache(flight::kCacheHit);
+    flight::record(flight::Kind::kCache, {}, 0, 0, flight::kHit);
     return;
   }
   // A domain change matters only if it flips the Def. 7 status under the
@@ -160,17 +146,11 @@ void CarrierCache::sync() {
   synced_gen_ = gen;
   if (flips_.empty()) {
     ctr_hits_.inc();
-    if (telemetry::trace_enabled()) {
-      telemetry::emit("cache", {{"kind", "hit"}});
-    }
-    flight_cache(flight::kCacheHit);
+    flight::record(flight::Kind::kCache, {}, 0, 0, flight::kHit);
     return;
   }
   ctr_misses_.inc();
-  if (telemetry::trace_enabled()) {
-    telemetry::emit("cache", {{"kind", "miss"}});
-  }
-  flight_cache(flight::kCacheMiss);
+  flight::record(flight::Kind::kCache, {}, 0, 0, flight::kMiss);
   rebuild_cone();
 }
 
@@ -191,10 +171,7 @@ const std::vector<NetId>& CarrierCache::dominators() {
     doms_ = timing_dominators(cs_.circuit(), check_, set_, dom_scratch_);
     doms_valid_ = true;
     ctr_dom_rebuilds_.inc();
-    if (telemetry::trace_enabled()) {
-      telemetry::emit("cache", {{"kind", "dom_rebuild"}});
-    }
-    flight_cache(flight::kCacheDomRebuild);
+    flight::record(flight::Kind::kCache, {}, 0, 0, flight::kDomRebuild);
   }
   return doms_;
 }

@@ -3,6 +3,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flight_recorder.hpp"
 #include "common/telemetry.hpp"
 
 namespace waveck {
@@ -165,10 +166,9 @@ DelayCorrelationStats apply_delay_correlation(ConstraintSystem& cs,
     ctr_rounds.inc();
     stats.gates_narrowed += changed;
     ctr_gates.add(changed);
-    if (telemetry::trace_enabled()) {
-      telemetry::emit("delay_corr_round",
-                      {{"round", stats.rounds}, {"gates_narrowed", changed}});
-    }
+    flight::record(flight::Kind::kDelayCorrRound, {},
+                   static_cast<std::int64_t>(stats.rounds),
+                   static_cast<std::int64_t>(changed));
     if (cs.reach_fixpoint() == ConstraintSystem::Status::kNoViolation) {
       stats.proved_no_violation = true;
       return stats;

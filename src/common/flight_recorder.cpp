@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <ostream>
@@ -72,32 +73,6 @@ void set_enabled(bool on) {
   detail::g_enabled.store(on, std::memory_order_relaxed);
 }
 
-void record(Kind kind, std::string_view name, std::int64_t a, std::int64_t b,
-            std::uint8_t aux) {
-  if (!enabled()) return;
-  Ring* r = detail::t_ring;
-  if (r == nullptr) {
-    r = detail::claim_ring();
-    if (r == nullptr) return;
-  }
-  Record rec{};
-  rec.t_ns = detail::now_ns();
-  const telemetry::SpanContext& ctx = telemetry::span_context();
-  rec.chk = ctx.chk;
-  rec.dec = ctx.dec;
-  rec.a = a;
-  rec.b = b;
-  // An empty name may have a null data(); memcpy from null is UB even for
-  // zero bytes.
-  const std::size_t n = std::min(name.size(), kNameCap);
-  if (n != 0) std::memcpy(rec.name, name.data(), n);
-  rec.kind = static_cast<std::uint8_t>(kind);
-  rec.aux = aux;
-  const int w = telemetry::worker_id();
-  rec.w = static_cast<std::uint8_t>(w < 0 ? 0 : (w > 255 ? 255 : w));
-  r->push(rec);
-}
-
 RecorderStats stats() {
   RecorderStats s;
   s.rings = detail::g_ring_count.load(std::memory_order_acquire);
@@ -120,8 +95,8 @@ void reset_for_test() {
 }
 
 // ---------------------------------------------------------------------------
-// Rendering. One shared formatter serves both the sanitizing ostream writer
-// and the async-signal-safe fd writer: everything below formats into a
+// Rendering. One formatter serves the trace sink, the sanitizing ostream
+// dump and the async-signal-safe fd dump: everything below formats into a
 // caller-provided buffer with no allocation, locks, or stdio.
 // ---------------------------------------------------------------------------
 
@@ -129,15 +104,19 @@ namespace {
 
 constexpr std::size_t kLineCap = 512;
 
+/// Bounded writer that also counts the bytes the whole line needs, so a
+/// caller whose buffer was too small can render again into a larger one.
 struct Buf {
   char* p;
   char* end;
+  std::size_t need = 0;
 
   void ch(char c) {
+    ++need;
     if (p < end) *p++ = c;
   }
   void lit(const char* s) {
-    while (*s != '\0' && p < end) *p++ = *s++;
+    while (*s != '\0') ch(*s++);
   }
   void u64(std::uint64_t v) {
     char tmp[20];
@@ -156,24 +135,25 @@ struct Buf {
       u64(static_cast<std::uint64_t>(v));
     }
   }
-  /// JSON string body with minimal escaping; bytes >= 0x7f become '?' so a
-  /// name truncated mid-UTF-8-sequence cannot produce invalid output.
-  void jstr(const char* s, std::size_t n) {
+  /// JSON string, escaped exactly as telemetry::json_escape does.
+  void jstr(std::string_view s) {
     ch('"');
-    for (std::size_t i = 0; i < n; ++i) {
-      const unsigned char c = static_cast<unsigned char>(s[i]);
+    for (const char c : s) {
+      const auto u = static_cast<unsigned char>(c);
       if (c == '"' || c == '\\') {
         ch('\\');
-        ch(static_cast<char>(c));
-      } else if (c < 0x20) {
+        ch(c);
+      } else if (c == '\n') {
+        lit("\\n");
+      } else if (c == '\t') {
+        lit("\\t");
+      } else if (u < 0x20) {
         lit("\\u00");
         static constexpr char kHex[] = "0123456789abcdef";
-        ch(kHex[c >> 4]);
-        ch(kHex[c & 0xf]);
-      } else if (c >= 0x7f) {
-        ch('?');
+        ch(kHex[u >> 4]);
+        ch(kHex[u & 0xf]);
       } else {
-        ch(static_cast<char>(c));
+        ch(c);
       }
     }
     ch('"');
@@ -184,9 +164,13 @@ struct Buf {
     lit(k);
     lit("\":");
   }
-  void key_str(const char* k, const char* s, std::size_t n) {
+  void key_str(const char* k, std::string_view s) {
     key(k);
-    jstr(s, n);
+    jstr(s);
+  }
+  void key_letter(const char* k, std::uint8_t letter) {
+    const char c = static_cast<char>(letter);
+    key_str(k, {&c, 1});
   }
   void key_i64(const char* k, std::int64_t v) {
     key(k);
@@ -212,122 +196,94 @@ struct Buf {
   }
 };
 
-const char* conclusion_str(std::uint8_t code) {
-  switch (code) {
-    case kConclusionN: return "N";
-    case kConclusionV: return "V";
-    case kConclusionA: return "A";
-    case kConclusionP: return "P";
-  }
-  return "?";
+constexpr const char* kWords[] = {
+    "exhausted", "witness", "abandoned", "truncated", "refuted",
+    "one_sided", "both",    "hit",       "miss",      "dom_rebuild"};
+
+std::string_view word(std::uint8_t code) {
+  return code < std::size(kWords) ? kWords[code] : "?";
 }
 
-const char* stage_status_str(std::uint8_t code) {
-  switch (code) {
-    case kStageNotRun: return "-";
-    case kStagePossible: return "P";
-    case kStageNoViolation: return "N";
+const char* event_name(Kind kind) {
+  switch (kind) {
+    case Kind::kCheckBegin: return "check_begin";
+    case Kind::kCheckEnd: return "check_end";
+    case Kind::kStageBegin: return "stage_begin";
+    case Kind::kStageEnd: return "stage_end";
+    case Kind::kDecision: return "decision";
+    case Kind::kDecisionClose: return "decision_close";
+    case Kind::kBacktrack: return "backtrack";
+    case Kind::kConflict: return "conflict";
+    case Kind::kSpurious: return "spurious_vector";
+    case Kind::kPropagate: return "propagate";
+    case Kind::kCache: return "cache";
+    case Kind::kGitdRound: return "gitd_round";
+    case Kind::kStem: return "stem";
+    case Kind::kDelayCorrRound: return "delay_corr_round";
+    case Kind::kServeRequest: return "serve_request";
+    case Kind::kServeResponse: return "serve_response";
+    case Kind::kServeBatch: return "serve_batch";
+    case Kind::kMark: return "mark";
+    default: return nullptr;  // torn or unwritten slot
   }
-  return "?";
 }
 
-const char* outcome_str(std::uint8_t code) {
-  switch (code) {
-    case kOutcomeExhausted: return "exhausted";
-    case kOutcomeWitness: return "witness";
-    case kOutcomeAbandoned: return "abandoned";
-    case kOutcomeTruncated: return "truncated";
-  }
-  return "?";
-}
-
-const char* cache_kind_str(std::uint8_t code) {
-  switch (code) {
-    case kCacheHit: return "hit";
-    case kCacheMiss: return "miss";
-    case kCacheDomRebuild: return "dom_rebuild";
-  }
-  return "?";
-}
-
-std::size_t name_len(const Record& r) {
-  std::size_t n = 0;
-  while (n < kNameCap && r.name[n] != '\0') ++n;
+/// Prefix of `name` that fits a record: at most kNameCap bytes, cut back to
+/// a UTF-8 sequence boundary so a dump never carries half a character.
+std::size_t ring_name_len(std::string_view name) {
+  if (name.size() <= kNameCap) return name.size();
+  std::size_t n = kNameCap;
+  while (n > 0 && (static_cast<unsigned char>(name[n]) & 0xC0) == 0x80) --n;
   return n;
 }
 
-/// Renders one record as a trace-schema JSONL line (with trailing newline).
-/// `t0` rebases timestamps so the dump starts at t=0. Returns the number of
-/// bytes written to `out` (at most `cap`); async-signal-safe.
-std::size_t format_record(const Record& r, std::uint64_t seq, std::uint64_t t0,
-                          char* out, std::size_t cap) {
-  const auto kind = static_cast<Kind>(r.kind);
-  const char* ev = nullptr;
-  switch (kind) {
-    case Kind::kCheckBegin: ev = "check_begin"; break;
-    case Kind::kCheckEnd: ev = "check_end"; break;
-    case Kind::kStageBegin: ev = "stage_begin"; break;
-    case Kind::kStageEnd: ev = "stage_end"; break;
-    case Kind::kDecision: ev = "decision"; break;
-    case Kind::kDecisionClose: ev = "decision_close"; break;
-    case Kind::kBacktrack: ev = "backtrack"; break;
-    case Kind::kConflict: ev = "conflict"; break;
-    case Kind::kSpurious: ev = "spurious_vector"; break;
-    case Kind::kPropagate: ev = "propagate"; break;
-    case Kind::kCache: ev = "cache"; break;
-    case Kind::kGitdRound: ev = "gitd_round"; break;
-    case Kind::kStem: ev = "stem"; break;
-    case Kind::kServeRequest: ev = "serve_request"; break;
-    case Kind::kServeResponse: ev = "serve_response"; break;
-    case Kind::kServeBatch: ev = "serve_batch"; break;
-    case Kind::kMark: ev = "mark"; break;
-    default: return 0;  // torn or unwritten slot
-  }
+std::string_view record_name(const Record& r) {
+  std::size_t n = 0;
+  while (n < kNameCap && r.name[n] != '\0') ++n;
+  return {r.name, n};
+}
+
+/// Renders the part of an event's JSONL line after the sink-stamped "ev",
+/// "seq" and "t" keys: `,"w":..[,"chk":..][,"dec":..]`, the kind's fields
+/// in trace order, and the closing `}` plus newline. `name` stands in for
+/// the record's (possibly cut) name and `vector` adds check_end's witness.
+/// Returns the bytes the line needs; at most `cap` of them are written.
+std::size_t format_body(const Record& r, std::string_view name,
+                        std::string_view vector, char* out, std::size_t cap) {
   Buf b{out, out + cap};
-  b.lit("{\"ev\":\"");
-  b.lit(ev);
-  b.lit("\",\"seq\":");
-  b.u64(seq);
-  b.lit(",\"t\":");
-  b.u64(r.t_ns >= t0 ? r.t_ns - t0 : 0);
   b.lit(",\"w\":");
   b.u64(r.w);
   if (r.chk >= 0) b.key_i64("chk", r.chk);
   if (r.dec >= 0) b.key_i64("dec", r.dec);
-  const std::size_t nl = name_len(r);
-  switch (kind) {
+  switch (static_cast<Kind>(r.kind)) {
     case Kind::kCheckBegin:
-      b.key_str("output", r.name, nl);
+      b.key_str("output", name);
       b.key_i64("delta", r.a);
       break;
     case Kind::kCheckEnd:
-      b.key_str("output", r.name, nl);
-      b.key("conclusion");
-      b.jstr(conclusion_str(r.aux), std::strlen(conclusion_str(r.aux)));
+      b.key_str("output", name);
+      b.key_letter("conclusion", r.aux);
       b.key_seconds("seconds", r.a);
+      if (!vector.empty()) b.key_str("vector", vector);
       break;
     case Kind::kStageBegin:
-      b.key_str("stage", r.name, nl);
+      b.key_str("stage", name);
       break;
-    case Kind::kStageEnd: {
-      b.key_str("stage", r.name, nl);
-      const char* st = stage_status_str(r.aux);
-      b.key_str("status", st, std::strlen(st));
+    case Kind::kStageEnd:
+      b.key_str("stage", name);
+      b.key_letter("status", r.aux);
       break;
-    }
     case Kind::kDecision:
       b.key_i64("parent", r.a);
-      b.key_str("net", r.name, nl);
+      b.key_str("net", name);
       b.key_bool("cls", r.aux != 0);
       b.key_i64("depth", r.b);
       break;
-    case Kind::kDecisionClose: {
-      const char* oc = outcome_str(r.aux);
-      b.key_str("outcome", oc, std::strlen(oc));
+    case Kind::kDecisionClose:
+      b.key_str("outcome", word(r.aux));
       break;
-    }
     case Kind::kBacktrack:
-      b.key_str("net", r.name, nl);
+      b.key_str("net", name);
       b.key_bool("cls", r.aux != 0);
       b.key_i64("depth", r.b);
       break;
@@ -336,43 +292,68 @@ std::size_t format_record(const Record& r, std::uint64_t seq, std::uint64_t t0,
       b.key_i64("depth", r.b);
       break;
     case Kind::kPropagate:
+      b.key_i64("queue", r.c);
       b.key_i64("applications", r.a);
       b.key_i64("revisions", r.b);
-      b.key_str("status", r.aux != 0 ? "P" : "N", 1);
+      b.key_letter("status", r.aux);
       break;
-    case Kind::kCache: {
-      const char* ck = cache_kind_str(r.aux);
-      b.key_str("kind", ck, std::strlen(ck));
+    case Kind::kCache:
+      b.key_str("kind", word(r.aux));
       break;
-    }
     case Kind::kGitdRound:
       b.key_i64("narrowed", r.a);
       break;
     case Kind::kStem:
-      b.key_str("net", r.name, nl);
+      b.key_str("net", name);
+      b.key_str("outcome", word(r.aux));
+      b.key_i64("narrowed", r.a);
+      break;
+    case Kind::kDelayCorrRound:
+      b.key_i64("round", r.a);
+      b.key_i64("gates_narrowed", r.b);
       break;
     case Kind::kServeRequest:
-      b.key_str("op", r.name, nl);
+      b.key_str("op", name);
       b.key_i64("queue", r.a);
       break;
     case Kind::kServeResponse:
-      b.key_str("op", r.name, nl);
+      b.key_str("op", name);
       b.key_i64("bytes", r.a);
       b.key_bool("ok", r.aux != 0);
       break;
     case Kind::kServeBatch:
-      b.key_str("circuit", r.name, nl);
+      b.key_str("circuit", name);
       b.key_i64("size", r.a);
       b.key_i64("unique", r.b);
       break;
     case Kind::kMark:
-      b.key_str("name", r.name, nl);
+      b.key_str("name", name);
       break;
     default:
       break;
   }
   b.lit("}\n");
-  return static_cast<std::size_t>(b.p - out);
+  return b.need;
+}
+
+/// Renders one record as a dump line (with trailing newline). `t0` rebases
+/// timestamps so the dump starts at t=0. Returns the number of bytes
+/// written to `out` (0 for a torn slot); async-signal-safe.
+std::size_t format_record(const Record& r, std::uint64_t seq, std::uint64_t t0,
+                          char* out, std::size_t cap) {
+  const char* ev = event_name(static_cast<Kind>(r.kind));
+  if (ev == nullptr) return 0;
+  Buf b{out, out + cap};
+  b.lit("{\"ev\":\"");
+  b.lit(ev);
+  b.lit("\",\"seq\":");
+  b.u64(seq);
+  b.lit(",\"t\":");
+  b.u64(r.t_ns >= t0 ? r.t_ns - t0 : 0);
+  const std::size_t head = std::min(b.need, cap);
+  const std::size_t body =
+      format_body(r, record_name(r), {}, out + head, cap - head);
+  return std::min(head + body, cap);
 }
 
 std::size_t format_header(std::string_view reason, std::uint64_t rings,
@@ -380,12 +361,12 @@ std::size_t format_header(std::string_view reason, std::uint64_t rings,
                           char* out, std::size_t cap) {
   Buf b{out, out + cap};
   b.lit("{\"ev\":\"fr_dump\",\"seq\":1,\"t\":0,\"w\":0");
-  b.key_str("reason", reason.data(), std::min(reason.size(), std::size_t{64}));
+  b.key_str("reason", reason.substr(0, 64));
   b.key_i64("rings", static_cast<std::int64_t>(rings));
   b.key_i64("records", static_cast<std::int64_t>(records));
   b.key_i64("dropped", static_cast<std::int64_t>(dropped));
   b.lit("}\n");
-  return static_cast<std::size_t>(b.p - out);
+  return std::min(b.need, cap);
 }
 
 bool valid_kind(std::uint8_t k) {
@@ -393,6 +374,49 @@ bool valid_kind(std::uint8_t k) {
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// The spine: one call writes the ring record and the trace line.
+// ---------------------------------------------------------------------------
+
+void detail::record(Kind kind, std::string_view name, std::int64_t a,
+                    std::int64_t b, std::uint8_t aux, std::uint32_t c,
+                    std::string_view vector) {
+  Record rec{};
+  rec.t_ns = detail::now_ns();
+  const telemetry::SpanContext& ctx = telemetry::span_context();
+  rec.chk = ctx.chk;
+  rec.dec = ctx.dec;
+  rec.a = a;
+  rec.b = b;
+  rec.c = c;
+  // An empty name may have a null data(); memcpy from null is UB even for
+  // zero bytes.
+  const std::size_t n = ring_name_len(name);
+  if (n != 0) std::memcpy(rec.name, name.data(), n);
+  rec.kind = static_cast<std::uint8_t>(kind);
+  rec.aux = aux;
+  const int w = telemetry::worker_id();
+  rec.w = static_cast<std::uint8_t>(w < 0 ? 0 : (w > 255 ? 255 : w));
+  if (enabled()) {
+    Ring* ring = detail::t_ring;
+    if (ring == nullptr) ring = detail::claim_ring();
+    if (ring != nullptr) ring->push(rec);
+  }
+  if (telemetry::TraceSink* sink = telemetry::trace_sink()) {
+    // The trace line is the dump line with the full-length name and the
+    // witness vector; a long one is rendered again into a heap buffer.
+    char line[kLineCap];
+    const std::size_t len = format_body(rec, name, vector, line, kLineCap);
+    if (len <= kLineCap) {
+      sink->line(event_name(kind), {line, len});
+    } else {
+      std::string big(len, '\0');
+      format_body(rec, name, vector, big.data(), len);
+      sink->line(event_name(kind), big);
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Sanitizing merged dump (normal path).
@@ -429,18 +453,18 @@ void dump(std::ostream& os, std::string_view reason) {
                      return x.t_ns < y.t_ns;
                    });
 
-  // Pass 1: checks whose begin survived. Ring eviction is strictly oldest-
-  // first and a check runs on one thread, so "begin survived" implies every
-  // later record of that check survived too; anything else is an orphan the
-  // analyzer would warn about, and is dropped instead.
-  std::unordered_set<std::int64_t> begun;
-  for (const Record& r : recs) {
-    if (static_cast<Kind>(r.kind) == Kind::kCheckBegin && r.chk >= 0) {
-      begun.insert(r.chk);
-    }
-  }
-
+  // Pass 1: the opens each check lost. Ring eviction is strictly oldest-
+  // first and a check runs on one thread, so a check whose check_begin
+  // survived kept every later record too. A check whose check_begin was
+  // evicted (any check that outlives the ring, which is every check a
+  // deadline dump is written for) gets its opens back instead: check_begin
+  // from its surviving check_end (output, and delta from the ring-only `b`),
+  // and, when its first surviving stage record is a stage_end, that stage's
+  // stage_begin.
   struct CheckState {
+    bool begun = false;             // its check_begin survived or was made
+    const Record* end = nullptr;    // its surviving check_end
+    const Record* stage = nullptr;  // its first surviving stage record
     bool open = false;
     std::string output;
     std::vector<std::string> stages;         // open stages, outermost first
@@ -449,6 +473,19 @@ void dump(std::ostream& os, std::string_view reason) {
     std::unordered_set<std::int64_t> closed;
   };
   std::map<std::int64_t, CheckState> state;
+  for (const Record& r : recs) {
+    if (r.chk < 0) continue;
+    CheckState& cs = state[r.chk];
+    switch (static_cast<Kind>(r.kind)) {
+      case Kind::kCheckBegin: cs.begun = true; break;
+      case Kind::kCheckEnd: cs.end = &r; break;
+      case Kind::kStageBegin:
+      case Kind::kStageEnd:
+        if (cs.stage == nullptr) cs.stage = &r;
+        break;
+      default: break;
+    }
+  }
   std::vector<std::int64_t> open_order;
 
   const std::uint64_t t0 = recs.empty() ? 0 : recs.front().t_ns;
@@ -471,12 +508,35 @@ void dump(std::ostream& os, std::string_view reason) {
 
   for (const Record& r : recs) {
     const auto kind = static_cast<Kind>(r.kind);
-    if (r.chk >= 0 && !begun.contains(r.chk)) {
-      ++dropped;
-      continue;
-    }
     if (r.chk >= 0) {
       CheckState& cs = state[r.chk];
+      if (!cs.begun) {
+        cs.begun = true;
+        Record open{};
+        open.t_ns = r.t_ns;
+        open.chk = r.chk;
+        open.dec = -1;
+        open.w = r.w;
+        open.kind = static_cast<std::uint8_t>(Kind::kCheckBegin);
+        if (cs.end != nullptr) {
+          std::memcpy(open.name, cs.end->name, kNameCap);
+          open.a = cs.end->b;
+        } else {
+          open.name[0] = '?';  // still running, and its end is not known yet
+        }
+        write_rec(open);
+        cs.open = true;
+        cs.output = record_name(open);
+        open_order.push_back(r.chk);
+        if (cs.stage != nullptr &&
+            static_cast<Kind>(cs.stage->kind) == Kind::kStageEnd) {
+          open.kind = static_cast<std::uint8_t>(Kind::kStageBegin);
+          open.a = 0;
+          std::memcpy(open.name, cs.stage->name, kNameCap);
+          write_rec(open);
+          cs.stages.emplace_back(record_name(open));
+        }
+      }
       switch (kind) {
         case Kind::kCheckBegin:
           if (cs.open) {  // duplicate begin: impossible, but never emit one
@@ -484,17 +544,17 @@ void dump(std::ostream& os, std::string_view reason) {
             continue;
           }
           cs.open = true;
-          cs.output.assign(r.name, name_len(r));
+          cs.output = record_name(r);
           open_order.push_back(r.chk);
           break;
         case Kind::kCheckEnd:
           cs.open = false;
           break;
         case Kind::kStageBegin:
-          cs.stages.emplace_back(r.name, name_len(r));
+          cs.stages.emplace_back(record_name(r));
           break;
         case Kind::kStageEnd: {
-          const std::string_view sn(r.name, name_len(r));
+          const std::string_view sn = record_name(r);
           for (auto it = cs.stages.rbegin(); it != cs.stages.rend(); ++it) {
             if (*it == sn) {
               cs.stages.erase(std::next(it).base());
@@ -524,13 +584,18 @@ void dump(std::ostream& os, std::string_view reason) {
           break;
       }
     }
-    // Work records stamped with a decision the dump no longer defines are
-    // re-attributed to the search root rather than dropped.
+    // Work records stamped with a decision the dump no longer defines, and
+    // decisions whose parent it no longer defines, are re-attributed to the
+    // search root rather than dropped.
     Record out = r;
-    if (out.chk >= 0 && out.dec >= 0 && kind != Kind::kDecision &&
-        kind != Kind::kDecisionClose && kind != Kind::kBacktrack &&
-        !state[out.chk].defined.contains(out.dec)) {
-      out.dec = -1;
+    if (out.chk >= 0) {
+      const CheckState& cs = state[out.chk];
+      if (kind == Kind::kDecision) {
+        if (out.a >= 0 && !cs.defined.contains(out.a)) out.a = -1;
+      } else if (out.dec >= 0 && kind != Kind::kDecisionClose &&
+                 kind != Kind::kBacktrack && !cs.defined.contains(out.dec)) {
+        out.dec = -1;
+      }
     }
     t_last = std::max(t_last, r.t_ns >= t0 ? r.t_ns - t0 : 0);
     write_rec(out);
@@ -549,14 +614,14 @@ void dump(std::ostream& os, std::string_view reason) {
       if (cs.closed.contains(*it)) continue;
       r.kind = static_cast<std::uint8_t>(Kind::kDecisionClose);
       r.dec = *it;
-      r.aux = kOutcomeTruncated;
+      r.aux = kTruncated;
       write_rec(r);
       r.t_ns = t0 + (++t_last);
     }
     r.dec = -1;
     for (auto it = cs.stages.rbegin(); it != cs.stages.rend(); ++it) {
       r.kind = static_cast<std::uint8_t>(Kind::kStageEnd);
-      r.aux = kStageNotRun;
+      r.aux = '-';
       const std::size_t n = std::min(it->size(), kNameCap);
       std::memset(r.name, 0, kNameCap);
       std::memcpy(r.name, it->data(), n);
@@ -564,7 +629,7 @@ void dump(std::ostream& os, std::string_view reason) {
       r.t_ns = t0 + (++t_last);
     }
     r.kind = static_cast<std::uint8_t>(Kind::kCheckEnd);
-    r.aux = kConclusionA;  // abandoned: the dump interrupted it
+    r.aux = 'A';  // abandoned: the dump interrupted it
     r.a = 0;
     std::memset(r.name, 0, kNameCap);
     std::memcpy(r.name, cs.output.data(), std::min(cs.output.size(), kNameCap));
@@ -701,11 +766,6 @@ void set_blackbox_dir(std::string dir) {
                   "%s/flight-fatal-%ld.jsonl", g_bb_dir.c_str(),
                   static_cast<long>(::getpid()));
   }
-}
-
-std::string blackbox_dir() {
-  std::lock_guard<std::mutex> lock(g_bb_mu);
-  return g_bb_dir;
 }
 
 bool blackbox_enabled() {

@@ -1,6 +1,10 @@
-// Always-on flight recorder: a lock-free, fixed-size per-thread ring of
-// compact binary records mirroring the JSONL trace schema (check and stage
-// spans, FAN decisions/backtracks, cache hits, serve request lifecycle).
+// The engine's event spine and its always-on flight recorder. Every engine
+// event (check and stage spans, FAN decisions/backtracks, propagations,
+// cache queries, serve request lifecycle) is written once, by `record()`,
+// into a lock-free, fixed-size per-thread ring of compact binary records;
+// when a trace sink is installed, the same call also hands the sink the
+// event's JSONL line, rendered by the formatter the dump uses, so the trace
+// and the dump share one schema and one writer.
 //
 // Unlike the trace sink — opt-in, allocating, unbounded — the recorder is
 // meant to stay on in production: each record is one 64-byte struct copy
@@ -27,55 +31,53 @@
 #include <string>
 #include <string_view>
 
+#include "common/telemetry.hpp"
+
 namespace waveck::flight {
 
-/// Record kind. The dump writer maps each kind back to the trace event name
-/// and field set the offline analyzer already understands
-/// (doc/OBSERVABILITY.md has the full correspondence table).
+/// Record kind: one per engine event. `record()` is the only writer of
+/// these events; the kind-specific slots below are also the trace fields the
+/// event's JSONL line carries, in this order (doc/OBSERVABILITY.md has the
+/// full table). Letters (status, conclusion) are stored in `aux` as the
+/// character itself; enumerated words index `Word`.
 enum class Kind : std::uint8_t {
-  kNone = 0,       // unwritten slot
-  kCheckBegin,     // check_begin   name=output     a=delta
-  kCheckEnd,       // check_end     name=output     a=duration_ns aux=conclusion
-  kStageBegin,     // stage_begin   name=stage
-  kStageEnd,       // stage_end     name=stage      aux=status
-  kDecision,       // decision      name=net        a=parent b=depth aux=cls
-  kDecisionClose,  // decision_close                aux=outcome
-  kBacktrack,      // backtrack     name=net        b=depth aux=cls
-  kConflict,       // conflict                      b=depth
-  kSpurious,       // spurious_vector               b=depth
-  kPropagate,      // propagate     a=applications  b=revisions aux=consistent
-  kCache,          // cache                         aux=0 hit / 1 miss / 2 dom
-  kGitdRound,      // gitd_round    a=narrowed
-  kStem,           // stem          name=net
-  kServeRequest,   // serve_request name=op         a=queue depth after
-  kServeResponse,  // serve_response name=op/error  a=bytes aux=ok
-  kServeBatch,     // serve_batch   name=circuit    a=group size b=unique runs
-  kMark,           // mark          name=label (watchdog_stall, debug_stall...)
+  kNone = 0,        // unwritten slot
+  kCheckBegin,      // check_begin      name=output  a=delta
+  kCheckEnd,        // check_end        name=output  aux=conclusion a=ns
+                    //                  (b=delta, ring-only; see dump())
+  kStageBegin,      // stage_begin      name=stage
+  kStageEnd,        // stage_end        name=stage   aux=status
+  kDecision,        // decision         a=parent name=net aux=cls b=depth
+  kDecisionClose,   // decision_close   aux=outcome (Word)
+  kBacktrack,       // backtrack        name=net aux=cls b=depth
+  kConflict,        // conflict         b=depth
+  kSpurious,        // spurious_vector  b=depth
+  kPropagate,       // propagate        c=queue a=applications b=revisions
+                    //                  aux=status
+  kCache,           // cache            aux=kind (Word)
+  kGitdRound,       // gitd_round       a=narrowed
+  kStem,            // stem             name=net aux=outcome (Word) a=narrowed
+  kDelayCorrRound,  // delay_corr_round a=round b=gates_narrowed
+  kServeRequest,    // serve_request    name=op a=queue depth after
+  kServeResponse,   // serve_response   name=op a=bytes aux=ok
+  kServeBatch,      // serve_batch      name=circuit a=group size b=unique runs
+  kMark,            // mark             name=label (watchdog_stall, ...)
   kMaxKind = kMark,
 };
 
-// Conclusion / status / outcome codes carried in Record::aux. These mirror
-// the engine's to_string tables (verifier.hpp) so the dump renders the
-// exact strings the analyzer expects, without common/ depending on verify/.
-inline constexpr std::uint8_t kConclusionN = 0;  // "N"
-inline constexpr std::uint8_t kConclusionV = 1;  // "V"
-inline constexpr std::uint8_t kConclusionA = 2;  // "A"
-inline constexpr std::uint8_t kConclusionP = 3;  // "P"
-inline constexpr std::uint8_t kStageNotRun = 0;     // "-"
-inline constexpr std::uint8_t kStagePossible = 1;   // "P"
-inline constexpr std::uint8_t kStageNoViolation = 2;  // "N"
-inline constexpr std::uint8_t kOutcomeExhausted = 0;
-inline constexpr std::uint8_t kOutcomeWitness = 1;
-inline constexpr std::uint8_t kOutcomeAbandoned = 2;
-inline constexpr std::uint8_t kOutcomeTruncated = 3;  // synthetic (dump tail)
-inline constexpr std::uint8_t kCacheHit = 0;
-inline constexpr std::uint8_t kCacheMiss = 1;
-inline constexpr std::uint8_t kCacheDomRebuild = 2;
+/// Enumerated words carried in Record::aux: decision_close outcomes
+/// (kTruncated only in dump tails), stem outcomes and cache kinds.
+enum Word : std::uint8_t {
+  kExhausted, kWitness, kAbandoned, kTruncated,
+  kRefuted, kOneSided, kBoth,
+  kHit, kMiss, kDomRebuild,
+};
 
-/// Bytes of name payload a record can carry (longer names are truncated;
-/// the name is stored inline so a record stays valid after the string it
-/// was copied from — a circuit unloaded by the serve daemon, say — is gone).
-inline constexpr std::size_t kNameCap = 21;
+/// Bytes of name payload a record can carry. Longer names are cut (at a
+/// UTF-8 boundary) in the ring only; the trace line carries the full name.
+/// The name is stored inline so a record stays valid after the string it
+/// was copied from — a circuit unloaded by the serve daemon, say — is gone.
+inline constexpr std::size_t kNameCap = 17;
 
 /// One 64-byte flight record. Plain data so the ring write is a struct
 /// copy; read back with strnlen-capped name access (no NUL at full width).
@@ -85,9 +87,10 @@ struct Record {
   std::int64_t dec;     // enclosing decision id (-1 at the search root)
   std::int64_t a;       // kind-specific (see Kind comments)
   std::int64_t b;       // kind-specific
+  std::uint32_t c;      // kind-specific
   char name[kNameCap];  // kind-specific, truncated, not NUL-padded at cap
   std::uint8_t kind;    // Kind
-  std::uint8_t aux;     // kind-specific small code
+  std::uint8_t aux;     // kind-specific letter or Word
   std::uint8_t w;       // worker id of the recording thread (clamped to 255)
 };
 static_assert(sizeof(Record) == 64, "flight records must stay cache-line");
@@ -121,6 +124,8 @@ namespace detail {
 extern std::atomic<bool> g_enabled;
 Ring* claim_ring();  // registers the calling thread's ring (slow path)
 extern thread_local Ring* t_ring;
+void record(Kind kind, std::string_view name, std::int64_t a, std::int64_t b,
+            std::uint8_t aux, std::uint32_t c, std::string_view vector);
 }  // namespace detail
 
 /// Whether recording is on. Defaults to true (always-on observability);
@@ -131,16 +136,25 @@ extern thread_local Ring* t_ring;
 }
 void set_enabled(bool on);
 
-/// Appends one record to the calling thread's ring (claiming a ring slot on
-/// first use; drops the record if the 64-slot thread table is full). Fields
-/// `chk`/`dec` are captured from telemetry::span_context(), `w` from
-/// telemetry::worker_id(). No-op when `enabled()` is false.
-void record(Kind kind, std::string_view name = {}, std::int64_t a = 0,
-            std::int64_t b = 0, std::uint8_t aux = 0);
+/// Writes one engine event; the only writer of the events `Kind` lists.
+/// When `enabled()`, appends the record to the calling thread's ring
+/// (claiming a ring on first use; dropped if the 64-slot thread table is
+/// full). When a trace sink is installed, hands the sink the same event's
+/// JSONL line, rendered by the dump's formatter from these arguments with
+/// the full-length name plus `vector` — check_end's witness, the one field
+/// the ring does not keep. `chk`/`dec` are captured from
+/// telemetry::span_context(), `w` from telemetry::worker_id(). With neither
+/// on, the cost is two relaxed loads and a branch.
+inline void record(Kind kind, std::string_view name = {}, std::int64_t a = 0,
+                   std::int64_t b = 0, std::uint8_t aux = 0,
+                   std::uint32_t c = 0, std::string_view vector = {}) {
+  if (enabled() || telemetry::trace_enabled()) {
+    detail::record(kind, name, a, b, aux, c, vector);
+  }
+}
 
-/// Snapshot of how much the recorder has seen — for tests and the dump
-/// header. `dropped` counts records discarded because the thread table was
-/// full; `rings` the number of registered threads.
+/// Snapshot of how much the recorder has seen: `rings` is the number of
+/// registered threads.
 struct RecorderStats {
   int rings = 0;
   std::uint64_t records = 0;  // sum of ring heads (includes overwritten)
@@ -153,11 +167,14 @@ void reset_for_test();
 
 /// Merged chronological dump of every ring as explain-compatible JSONL:
 /// a leading `fr_dump` header event (reason, ring/record/drop counts), then
-/// one trace-schema line per surviving record. Records belonging to checks
-/// whose check_begin was already overwritten are dropped, and still-open
-/// spans get synthetic closes appended (decision_close/stage_end/check_end
-/// with outcome "truncated"), so `explain::analyze_trace` reports
-/// well_formed() == true on every dump this writer produces.
+/// one trace-schema line per surviving record. Spans whose opening record
+/// was already overwritten get a synthetic open: a check_begin (output and
+/// delta from the check's surviving check_end) before the check's first
+/// surviving record, and a stage_begin for the check's first surviving
+/// stage_end that has none. Still-open spans get synthetic closes appended
+/// (decision_close "truncated", stage_end "-", check_end "A"), so
+/// `explain::analyze_trace` reports well_formed() == true on every dump
+/// this writer produces.
 void dump(std::ostream& os, std::string_view reason);
 
 /// Async-signal-safe variant for the fatal-signal handler: streams a k-way
@@ -173,7 +190,6 @@ void dump_signal_safe(int fd, const char* reason);
 /// Sets (or, with "", clears) the directory automatic dumps are written to.
 /// Dump files are named flight-<reason>-<pid>-<n>.jsonl.
 void set_blackbox_dir(std::string dir);
-[[nodiscard]] std::string blackbox_dir();
 [[nodiscard]] bool blackbox_enabled();
 
 /// Writes a dump into the blackbox directory, rate-limited per reason (a

@@ -371,33 +371,37 @@ JsonlTraceSink::JsonlTraceSink(const std::string& path)
 
 void JsonlTraceSink::event(std::string_view name,
                            std::span<const TraceField> fields) {
-  const auto t = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now() - start_)
-                     .count();
-  // Format the whole line locally, then write it under the mutex: lines
-  // from concurrent workers stay valid JSONL (one object per line).
-  std::ostringstream line;
-  line << ",\"t\":" << t << ",\"w\":" << worker_id();
+  std::ostringstream body;
+  body << ",\"w\":" << worker_id();
   const SpanContext& span = span_context();
-  if (span.chk >= 0) line << ",\"chk\":" << span.chk;
-  if (span.dec >= 0) line << ",\"dec\":" << span.dec;
+  if (span.chk >= 0) body << ",\"chk\":" << span.chk;
+  if (span.dec >= 0) body << ",\"dec\":" << span.dec;
   for (const TraceField& f : fields) {
-    line << ",\"" << json_escape(f.key) << "\":";
+    body << ",\"" << json_escape(f.key) << "\":";
     switch (f.kind) {
-      case TraceField::Kind::kInt: line << f.i; break;
-      case TraceField::Kind::kDouble: line << fmt_double(f.d); break;
-      case TraceField::Kind::kBool: line << (f.b ? "true" : "false"); break;
+      case TraceField::Kind::kInt: body << f.i; break;
+      case TraceField::Kind::kDouble: body << fmt_double(f.d); break;
+      case TraceField::Kind::kBool: body << (f.b ? "true" : "false"); break;
       case TraceField::Kind::kString:
-        line << '"' << json_escape(f.s) << '"';
+        body << '"' << json_escape(f.s) << '"';
         break;
     }
   }
-  line << "}\n";
-  const std::string body = line.str();
+  body << "}\n";
+  line(name, body.str());
+}
+
+void JsonlTraceSink::line(std::string_view name, std::string_view body) {
+  const auto t = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                     std::chrono::steady_clock::now() - start_)
+                     .count();
+  // The body is formatted by the caller; only the sequence number needs
+  // the mutex, so lines from concurrent workers stay valid JSONL (one
+  // object per line) and numbered in file order.
   const std::scoped_lock lock(mu_);
   *os_ << "{\"ev\":\"" << json_escape(name)
        << "\",\"seq\":" << seq_.fetch_add(1, std::memory_order_relaxed) + 1
-       << body;
+       << ",\"t\":" << t << body;
 }
 
 }  // namespace waveck::telemetry

@@ -3,10 +3,10 @@
 // histograms) plus a pluggable TraceSink streaming structured JSONL events.
 //
 // Design constraints (see doc/OBSERVABILITY.md):
-//  * Near-zero cost when no trace sink is installed: every emission site
-//    guards on `trace_enabled()` (a single pointer load + branch) before
-//    constructing any event field, so the disabled path neither allocates
-//    nor formats.
+//  * Near-zero cost when no trace sink is installed: `emit` and
+//    flight::record check `trace_enabled()` (a single pointer load +
+//    branch) before formatting anything, so the disabled path neither
+//    allocates nor formats.
 //  * Metric updates are relaxed atomic integer arithmetic on storage cached
 //    by the hot objects (ConstraintSystem caches references at
 //    construction); registry map lookups happen once per object/stage,
@@ -254,7 +254,6 @@ class LocalHistogram {
     count_ = 0;
     sum_ = 0;
   }
-  [[nodiscard]] std::uint64_t pending() const { return count_; }
 
  private:
   Histogram* h_;
@@ -429,8 +428,17 @@ struct TraceField {
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
+  /// A supervisor or tool event (`emit`): heartbeat, progress, batch, fuzz.
   virtual void event(std::string_view name,
                      std::span<const TraceField> fields) = 0;
+  /// An engine event written by flight::record, already rendered: `body`
+  /// is its JSONL line from `,"w":` through the closing `}` and newline,
+  /// i.e. everything after the "ev", "seq" and "t" keys the sink stamps.
+  /// The default passes the name alone to `event`, for sinks that only
+  /// count or filter events.
+  virtual void line(std::string_view name, std::string_view /*body*/) {
+    event(name, {});
+  }
 };
 
 namespace detail {
@@ -493,9 +501,9 @@ class ScopedCheckSpan {
   SpanContext prev_;
 };
 
-/// Emits an event iff a sink is installed. Call sites that compute field
-/// values (names, deltas) should guard on `trace_enabled()` themselves so
-/// the disabled path pays only the branch.
+/// Emits a supervisor or tool event iff a sink is installed. Engine events
+/// go through flight::record instead, which writes the flight record and the
+/// trace line from one call.
 inline void emit(std::string_view name,
                  std::initializer_list<TraceField> fields) {
   if (TraceSink* sink = trace_sink()) {
@@ -519,6 +527,7 @@ class JsonlTraceSink final : public TraceSink {
 
   void event(std::string_view name,
              std::span<const TraceField> fields) override;
+  void line(std::string_view name, std::string_view body) override;
 
   [[nodiscard]] std::uint64_t events_written() const {
     return seq_.load(std::memory_order_relaxed);

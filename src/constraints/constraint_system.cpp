@@ -301,20 +301,11 @@ ConstraintSystem::Status ConstraintSystem::reach_fixpoint() {
   g_trail_depth_.set(static_cast<std::int64_t>(trail_.size()));
   g_queue_depth_.set(static_cast<std::int64_t>(peak_queue));
   g_arena_bytes_.set(static_cast<std::int64_t>(arena_bytes()));
-  if (telemetry::trace_enabled()) {
-    telemetry::emit(
-        "propagate",
-        {{"queue", depth0},
-         {"applications", applications_ - apps0},
-         {"revisions", narrowings_ - nar0},
-         {"status", status == Status::kNoViolation ? "N" : "P"}});
-  }
-  if (flight::enabled()) {
-    flight::record(flight::Kind::kPropagate, {},
-                   static_cast<std::int64_t>(applications_ - apps0),
-                   static_cast<std::int64_t>(narrowings_ - nar0),
-                   status == Status::kNoViolation ? 0 : 1);
-  }
+  flight::record(flight::Kind::kPropagate, {},
+                 static_cast<std::int64_t>(applications_ - apps0),
+                 static_cast<std::int64_t>(narrowings_ - nar0),
+                 status == Status::kNoViolation ? 'N' : 'P',
+                 static_cast<std::uint32_t>(depth0));
   return status;
 }
 

@@ -235,10 +235,8 @@ void ProgressMonitor::run() {
                       {{"stalled_s", stalled_s}, {"active", dumped}});
       // Post-mortem evidence: mark the stall in the rings, then flush them
       // to the blackbox (no-op unless --blackbox armed a directory).
-      if (flight::enabled()) {
-        flight::record(flight::Kind::kMark, "watchdog_stall", 0,
-                       static_cast<std::int64_t>(dumped));
-      }
+      flight::record(flight::Kind::kMark, "watchdog_stall", 0,
+                     static_cast<std::int64_t>(dumped));
       const std::string path = flight::dump_blackbox("watchdog_stall");
       if (!path.empty()) {
         *err_ << "[waveck watchdog] flight recorder dumped to " << path

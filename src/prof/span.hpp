@@ -1,0 +1,67 @@
+// Check and stage spans: the one writer of a timing check's and a pipeline
+// stage's boundary state. Opening and closing a span updates, together, the
+// thread's check id (`telemetry::span_context().chk`), the profiler's check
+// and stage marks, the heartbeat board's slots, the "stage.<name>" timer,
+// the stage's hardware-counter window and the begin/end events
+// (flight::record), so none of them can drift from the others.
+#pragma once
+
+#include <cstdint>
+#include <string>
+#include <string_view>
+
+#include "common/telemetry.hpp"
+#include "prof/perf_counters.hpp"
+
+namespace waveck::prof {
+
+/// A timing check's span. Every event recorded on this thread while it is
+/// open carries its check id, including from code that knows nothing about
+/// checks.
+class CheckSpan {
+ public:
+  /// `output` names the checked net and must outlive the span.
+  CheckSpan(const std::string& output, std::int64_t delta);
+  CheckSpan(const CheckSpan&) = delete;
+  CheckSpan& operator=(const CheckSpan&) = delete;
+
+  /// Closes the span with the check's conclusion letter and, for a
+  /// violation, its witness `vector` (trace-only: the DOT exporter's
+  /// critical-path highlight needs no re-search). Returns the check's wall
+  /// time in seconds.
+  double close(char conclusion, std::string_view vector);
+
+ private:
+  telemetry::ScopedCheckSpan span_;  // first: check_begin carries its id
+  const std::string& output_;
+  std::int64_t delta_;
+  telemetry::StopWatch watch_;
+};
+
+/// A pipeline stage's span inside a check span. A stage is charged from the
+/// previous stage's close (`boundary`), so the set-up between two stages
+/// (the carrier cache, SCOAP) counts toward the stage it prepares. With
+/// counters_enabled() the counter window is added both to the caller's
+/// CounterTotals and to the thread's registry under "perf.stage.<name>.*",
+/// so the global registry equals the sum over per-check reports.
+class StageSpan {
+ public:
+  /// `stage` must be a string literal (the profiler keeps the pointer).
+  StageSpan(const char* stage, telemetry::StopWatch& boundary);
+  StageSpan(const StageSpan&) = delete;
+  StageSpan& operator=(const StageSpan&) = delete;
+
+  /// Closes the stage with its verdict letter ("-", "P", "N" or the check's
+  /// conclusion), adding its time to `seconds` and its counter window to
+  /// `perf` when given.
+  void close(const char* status, double* seconds = nullptr,
+             CounterTotals* perf = nullptr);
+
+ private:
+  const char* stage_;
+  telemetry::StopWatch& boundary_;
+  bool perf_on_;
+  CounterSample perf_mark_;
+};
+
+}  // namespace waveck::prof

@@ -414,11 +414,9 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
     return;
   }
   const Request& req = parsed.req;
-  if (flight::enabled()) {
-    flight::record(
-        flight::Kind::kServeRequest, to_string(req.op),
-        telemetry::Registry::global().gauge("serve.queue_depth").value());
-  }
+  flight::record(
+      flight::Kind::kServeRequest, to_string(req.op),
+      telemetry::Registry::global().gauge("serve.queue_depth").value());
   switch (req.op) {
     case Op::kPing: {
       ResponseWriter w = ok_response(req.id, Op::kPing);
@@ -685,11 +683,9 @@ void Server::run_checks(const ResidentPtr& resident,
       unique_runs[it->second].push_back(std::move(p));
     }
   }
-  if (flight::enabled()) {
-    flight::record(flight::Kind::kServeBatch, resident->name(),
-                   static_cast<std::int64_t>(live.size()),
-                   static_cast<std::int64_t>(unique_runs.size()));
-  }
+  flight::record(flight::Kind::kServeBatch, resident->name(),
+                 static_cast<std::int64_t>(live.size()),
+                 static_cast<std::int64_t>(unique_runs.size()));
 
   for (std::vector<Pending>& run : unique_runs) {
     // The run's deadline is the loosest among its requesters: a no-deadline
@@ -779,10 +775,8 @@ void Server::run_checks(const ResidentPtr& resident,
 void Server::run_stall(const Pending& p) {
   // Deliberately wedge: occupy the worker without advancing any progress
   // tick, so the supervisor's watchdog has something real to detect.
-  if (flight::enabled()) {
-    flight::record(flight::Kind::kMark, "debug_stall",
-                   static_cast<std::int64_t>(p.req.stall_ms));
-  }
+  flight::record(flight::Kind::kMark, "debug_stall",
+                 static_cast<std::int64_t>(p.req.stall_ms));
   if (prof::heartbeat_enabled()) {
     prof::ActivityBoard::begin_check("debug_stall", -1);
   }
@@ -798,22 +792,18 @@ void Server::run_stall(const Pending& p) {
 void Server::send(const std::shared_ptr<Connection>& conn,
                   const std::string& line) {
   counter("serve.responses").inc();
-  if (flight::enabled()) {
-    // Pull "op" and "ok" back out of the rendered envelope — the fixed key
-    // order makes this two substring finds, not a parse.
-    std::string_view op = "?";
-    const std::size_t k = line.find("\"op\":\"");
-    if (k != std::string::npos) {
-      const std::size_t v = k + 6;
-      const std::size_t e = line.find('"', v);
-      if (e != std::string::npos) {
-        op = std::string_view(line).substr(v, e - v);
-      }
-    }
-    const bool ok = line.find("\"ok\":true") != std::string::npos;
-    flight::record(flight::Kind::kServeResponse, op,
-                   static_cast<std::int64_t>(line.size()), 0, ok ? 1 : 0);
+  // Pull "op" and "ok" back out of the rendered envelope — the fixed key
+  // order (id, op, ok) makes this two finds near the start, not a parse.
+  std::string_view op = "?";
+  const std::size_t k = line.find("\"op\":\"");
+  if (k != std::string::npos) {
+    const std::size_t v = k + 6;
+    const std::size_t e = line.find('"', v);
+    if (e != std::string::npos) op = std::string_view(line).substr(v, e - v);
   }
+  const bool ok = line.find("\"ok\":true") != std::string::npos;
+  flight::record(flight::Kind::kServeResponse, op,
+                 static_cast<std::int64_t>(line.size()), 0, ok ? 1 : 0);
   conn->write_line(line);
 }
 

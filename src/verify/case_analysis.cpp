@@ -518,7 +518,7 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
     bool cls;
     ConstraintSystem::Mark mark;
     bool flipped;
-    std::int64_t id;  // trace span id (1-based per search; -1 untraced)
+    std::int64_t id;  // decision span id, 1-based per search
   };
   std::vector<Decision> stack;
   std::int64_t next_decision_id = 0;
@@ -527,19 +527,12 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
   // stamps every nested event with span_context().dec) and is closed by
   // exactly one `decision_close` — "exhausted" when both classes failed,
   // "witness"/"abandoned" for decisions still open when the search stops.
-  // The offline analyzer relies on this bracketing being exact; the flight
-  // recorder mirrors it 1:1 so blackbox dumps analyze the same way.
-  const auto close_open_decisions = [&stack](const char* outcome,
-                                             std::uint8_t outcome_code) {
+  // The offline analyzer relies on this bracketing being exact, in the
+  // trace and in blackbox dumps alike.
+  const auto close_open_decisions = [&stack](flight::Word outcome) {
     for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-      if (it->id < 0) continue;
       telemetry::span_context().dec = it->id;
-      if (telemetry::trace_enabled()) {
-        telemetry::emit("decision_close", {{"outcome", outcome}});
-      }
-      if (flight::enabled()) {
-        flight::record(flight::Kind::kDecisionClose, {}, 0, 0, outcome_code);
-      }
+      flight::record(flight::Kind::kDecisionClose, {}, 0, 0, outcome);
     }
     telemetry::span_context().dec = -1;
   };
@@ -560,7 +553,7 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
   for (;;) {
     if (stop_requested()) {
       cs.pop_to(entry);
-      close_open_decisions("abandoned", flight::kOutcomeAbandoned);
+      close_open_decisions(flight::kAbandoned);
       out.result = CaseResult::kAbandoned;
       return out;
     }
@@ -570,48 +563,31 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
       auto vec = extract_vector(cs);
       const auto sim = simulate_floating(cs.circuit(), vec);
       if (sim.settle[check.output.index()] >= check.delta) {
-        close_open_decisions("witness", flight::kOutcomeWitness);
+        close_open_decisions(flight::kWitness);
         out.result = CaseResult::kViolation;
         out.vector = std::move(vec);
         return out;
       }
       consistent = false;  // spurious: treat as a conflict and backtrack
       ctr_spurious.inc();
-      if (telemetry::trace_enabled()) {
-        telemetry::emit("spurious_vector", {{"depth", stack.size()}});
-      }
-      if (flight::enabled()) {
-        flight::record(flight::Kind::kSpurious, {}, 0,
-                       static_cast<std::int64_t>(stack.size()));
-      }
+      flight::record(flight::Kind::kSpurious, {}, 0,
+                     static_cast<std::int64_t>(stack.size()));
     }
 
     if (!consistent) {
       ctr_conflicts.inc();
       h_conflict_depth.observe(stack.size());
-      if (telemetry::trace_enabled()) {
-        telemetry::emit("conflict", {{"depth", stack.size()}});
-      }
-      if (flight::enabled()) {
-        flight::record(flight::Kind::kConflict, {}, 0,
-                       static_cast<std::int64_t>(stack.size()));
-      }
+      flight::record(flight::Kind::kConflict, {}, 0,
+                     static_cast<std::int64_t>(stack.size()));
       // Backtrack to the deepest unflipped decision and try its other class.
       bool resumed = false;
       while (!stack.empty()) {
         Decision& d = stack.back();
         if (d.flipped) {
           cs.pop_to(d.mark);
-          if (d.id >= 0) {
-            telemetry::span_context().dec = d.id;
-            if (telemetry::trace_enabled()) {
-              telemetry::emit("decision_close", {{"outcome", "exhausted"}});
-            }
-            if (flight::enabled()) {
-              flight::record(flight::Kind::kDecisionClose, {}, 0, 0,
-                             flight::kOutcomeExhausted);
-            }
-          }
+          telemetry::span_context().dec = d.id;
+          flight::record(flight::Kind::kDecisionClose, {}, 0, 0,
+                         flight::kExhausted);
           stack.pop_back();
           telemetry::span_context().dec = stack.empty() ? -1 : stack.back().id;
           continue;
@@ -626,24 +602,13 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
           prof::ActivityBoard::set_depth(
               static_cast<std::int64_t>(stack.size()));
         }
-        if (d.id >= 0) {
-          telemetry::span_context().dec = d.id;
-          if (telemetry::trace_enabled()) {
-            telemetry::emit("backtrack",
-                            {{"net", cs.circuit().net(d.net).name},
-                             {"cls", d.cls},
-                             {"depth", stack.size()}});
-          }
-          if (flight::enabled()) {
-            flight::record(flight::Kind::kBacktrack,
-                           cs.circuit().net(d.net).name, 0,
-                           static_cast<std::int64_t>(stack.size()),
-                           d.cls ? 1 : 0);
-          }
-        }
+        telemetry::span_context().dec = d.id;
+        flight::record(flight::Kind::kBacktrack, cs.circuit().net(d.net).name,
+                       0, static_cast<std::int64_t>(stack.size()),
+                       d.cls ? 1 : 0);
         if (out.backtracks > opt.max_backtracks) {
           cs.pop_to(entry);
-          close_open_decisions("abandoned", flight::kOutcomeAbandoned);
+          close_open_decisions(flight::kAbandoned);
           out.result = CaseResult::kAbandoned;
           return out;
         }
@@ -655,13 +620,8 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
         }
         ctr_conflicts.inc();
         h_conflict_depth.observe(stack.size());
-        if (telemetry::trace_enabled()) {
-          telemetry::emit("conflict", {{"depth", stack.size()}});
-        }
-        if (flight::enabled()) {
-          flight::record(flight::Kind::kConflict, {}, 0,
-                         static_cast<std::int64_t>(stack.size()));
-        }
+        flight::record(flight::Kind::kConflict, {}, 0,
+                       static_cast<std::int64_t>(stack.size()));
       }
       if (resumed) continue;
       if (stack.empty()) {
@@ -680,10 +640,8 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
       consistent = false;
       continue;
     }
-    Decision d{pick->first, pick->second, cs.push_state(), false, -1};
-    if (telemetry::trace_enabled() || flight::enabled()) {
-      d.id = ++next_decision_id;
-    }
+    const Decision d{pick->first, pick->second, cs.push_state(), false,
+                     ++next_decision_id};
     stack.push_back(d);
     ++out.decisions;
     ctr_decisions.inc();
@@ -692,25 +650,14 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
       prof::ActivityBoard::set_depth(
           static_cast<std::int64_t>(stack.size()));
     }
-    if (d.id >= 0) {
-      // The decision's own id rides in the sink-stamped "dec"; `parent`
-      // links it into the tree (-1 = child of the search root).
-      const std::int64_t parent =
-          stack.size() > 1 ? stack[stack.size() - 2].id : -1;
-      telemetry::span_context().dec = d.id;
-      if (telemetry::trace_enabled()) {
-        telemetry::emit("decision", {{"parent", parent},
-                                     {"net", cs.circuit().net(d.net).name},
-                                     {"cls", d.cls},
-                                     {"depth", stack.size()}});
-      }
-      if (flight::enabled()) {
-        flight::record(flight::Kind::kDecision,
-                       cs.circuit().net(d.net).name, parent,
-                       static_cast<std::int64_t>(stack.size()),
-                       d.cls ? 1 : 0);
-      }
-    }
+    // The decision's own id rides in the stamped "dec"; `parent` links it
+    // into the tree (-1 = child of the search root).
+    const std::int64_t parent =
+        stack.size() > 1 ? stack[stack.size() - 2].id : -1;
+    telemetry::span_context().dec = d.id;
+    flight::record(flight::Kind::kDecision, cs.circuit().net(d.net).name,
+                   parent, static_cast<std::int64_t>(stack.size()),
+                   d.cls ? 1 : 0);
     cs.restrict_domain(d.net, AbstractSignal::class_only(d.cls));
     consistent = propagate(cs, check, opt.dominators_in_search, cache);
   }

@@ -1,7 +1,6 @@
 #include "verify/stem_correlation.hpp"
 
 #include <algorithm>
-#include <string_view>
 #include <vector>
 
 #include "analysis/carrier_cache.hpp"
@@ -9,22 +8,6 @@
 #include "common/telemetry.hpp"
 
 namespace waveck {
-
-namespace {
-
-void trace_stem(const ConstraintSystem& cs, NetId stem,
-                std::string_view outcome, std::size_t narrowed) {
-  if (telemetry::trace_enabled()) {
-    telemetry::emit("stem", {{"net", cs.circuit().net(stem).name},
-                             {"outcome", outcome},
-                             {"narrowed", narrowed}});
-  }
-  if (flight::enabled()) {
-    flight::record(flight::Kind::kStem, cs.circuit().net(stem).name);
-  }
-}
-
-}  // namespace
 
 StemCorrelationStats apply_stem_correlation(ConstraintSystem& cs,
                                             const TimingCheck& check,
@@ -116,14 +99,16 @@ StemCorrelationStats apply_stem_correlation(ConstraintSystem& cs,
       // Neither class admits a solution: the whole check is inconsistent.
       cs.restrict_domain(stem, AbstractSignal::bottom());
       stats.proved_no_violation = true;
-      trace_stem(cs, stem, "refuted", 0);
+      flight::record(flight::Kind::kStem, cs.circuit().net(stem).name, 0, 0,
+                     flight::kRefuted);
       return stats;
     }
     if (ok0 != ok1) {
       // Necessary assignment: keep the surviving class and its propagation.
       ++stats.one_sided;
       ctr_one_sided.inc();
-      trace_stem(cs, stem, "one_sided", 0);
+      flight::record(flight::Kind::kStem, cs.circuit().net(stem).name, 0, 0,
+                     flight::kOneSided);
       cs.restrict_domain(stem, AbstractSignal::class_only(ok1));
       if (cs.reach_fixpoint() == ConstraintSystem::Status::kNoViolation) {
         stats.proved_no_violation = true;
@@ -147,7 +132,8 @@ StemCorrelationStats apply_stem_correlation(ConstraintSystem& cs,
       }
     }
     ctr_narrowed.add(narrowed_here);
-    trace_stem(cs, stem, "both", narrowed_here);
+    flight::record(flight::Kind::kStem, cs.circuit().net(stem).name,
+                   static_cast<std::int64_t>(narrowed_here), 0, flight::kBoth);
     if (cs.reach_fixpoint() == ConstraintSystem::Status::kNoViolation) {
       stats.proved_no_violation = true;
       return stats;

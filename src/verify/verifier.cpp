@@ -1,7 +1,6 @@
 #include "verify/verifier.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 
 #include "analysis/carrier_cache.hpp"
@@ -9,7 +8,8 @@
 #include "common/flight_recorder.hpp"
 #include "common/telemetry.hpp"
 #include "netlist/topo_delay.hpp"
-#include "prof/heartbeat.hpp"
+#include "prof/perf_counters.hpp"
+#include "prof/span.hpp"
 #include "sim/floating_sim.hpp"
 #include "sim/transition_sim.hpp"
 #include "verify/stem_correlation.hpp"
@@ -27,22 +27,6 @@ StageStatus status_of(ConstraintSystem::Status s) {
   return s == ConstraintSystem::Status::kNoViolation
              ? StageStatus::kNoViolation
              : StageStatus::kPossible;
-}
-
-/// Flight-record code for a stage verdict rendered by to_string(StageStatus)
-/// ("-" / "P" / "N"); the close_stage lambda only has the string.
-std::uint8_t flight_stage_code(const char* status) {
-  switch (status[0]) {
-    case 'P': return flight::kStagePossible;
-    case 'N': return flight::kStageNoViolation;
-    default: return flight::kStageNotRun;
-  }
-}
-
-std::int64_t flight_delta(Time delta) {
-  if (delta.is_pos_inf()) return std::numeric_limits<std::int64_t>::max();
-  if (delta.is_neg_inf()) return std::numeric_limits<std::int64_t>::min();
-  return delta.value();
 }
 
 /// Worst-of for stage aggregation: P dominates N dominates NotRun.
@@ -158,35 +142,11 @@ CheckReport Verifier::run_check(const Circuit& c, Circuit* mutable_c,
   const std::uint64_t corr0 = ctr_corr.value();
 
   reg.counter("verify.checks").inc();
-  // Check-level span: every event emitted until the matching check_end
-  // (stages, decisions, propagations — including from code that knows
-  // nothing about checks) is stamped with this check's id.
-  std::optional<telemetry::ScopedCheckSpan> span;
-  if (telemetry::trace_enabled() || flight::enabled()) {
-    span.emplace();  // the flight recorder attributes by chk id too
-    if (telemetry::trace_enabled()) {
-      telemetry::emit("check_begin", {{"output", c.net(s).name},
-                                      {"delta", delta.value()}});
-    }
-    if (flight::enabled()) {
-      flight::record(flight::Kind::kCheckBegin, c.net(s).name,
-                     flight_delta(delta));
-    }
-  }
-  // Profiler mark (thread-local) and heartbeat board slot: both hold the
-  // interned copy of the net's name, which outlives the circuit.
-  telemetry::set_check_mark(c.net(s).name.c_str());
-  if (prof::heartbeat_enabled()) {
-    prof::ActivityBoard::begin_check(telemetry::check_mark(),
-                                     span ? span->id() : -1);
-  }
-
-  const telemetry::StopWatch watch;
+  prof::CheckSpan span(c.net(s).name, delta.value());
   CheckReport rep = run_check_stages(c, mutable_c, s, delta, input_override);
-  rep.seconds = watch.seconds();
-  telemetry::set_stage_mark(nullptr);
-  telemetry::set_check_mark(nullptr);
-  if (prof::heartbeat_enabled()) prof::ActivityBoard::end_check();
+  rep.seconds =
+      span.close(to_string(rep.conclusion)[0],
+                 rep.vector ? format_vector(*rep.vector) : std::string());
   rep.backtracks = ctr_backtracks.value() - backtracks0;
   rep.decisions = ctr_decisions.value() - decisions0;
   rep.gitd_rounds = ctr_gitd_rounds.value() - gitd0;
@@ -195,30 +155,6 @@ CheckReport Verifier::run_check(const Circuit& c, Circuit* mutable_c,
 
   reg.counter(std::string("verify.conclusion.") +
               to_string(rep.conclusion)).inc();
-  if (telemetry::trace_enabled()) {
-    if (rep.vector) {
-      // The witness rides along so offline consumers (the DOT exporter's
-      // critical-path highlight) need no re-search.
-      const std::string vec = format_vector(*rep.vector);
-      telemetry::emit("check_end",
-                      {{"output", c.net(s).name},
-                       {"conclusion", to_string(rep.conclusion)},
-                       {"seconds", rep.seconds},
-                       {"vector", vec}});
-    } else {
-      telemetry::emit("check_end",
-                      {{"output", c.net(s).name},
-                       {"conclusion", to_string(rep.conclusion)},
-                       {"seconds", rep.seconds}});
-    }
-  }
-  if (flight::enabled()) {
-    // The conclusion codes in flight_recorder.hpp mirror CheckConclusion's
-    // declaration order, so the enum value doubles as the record code.
-    flight::record(flight::Kind::kCheckEnd, c.net(s).name,
-                   static_cast<std::int64_t>(rep.seconds * 1e9), 0,
-                   static_cast<std::uint8_t>(rep.conclusion));
-  }
   // Post-mortem trigger: a check abandoned because its deadline passed is
   // exactly the "why was this slow?" moment the blackbox exists for. The
   // per-reason cooldown in dump_blackbox keeps a refutation band that blows
@@ -237,54 +173,9 @@ CheckReport Verifier::run_check_stages(
   CheckReport rep;
   rep.check = TimingCheck{s, delta};
 
-  telemetry::StopWatch stage_watch;
-  // Stage spans: `stage_begin`/`stage_end` bracket each pipeline stage in
-  // the trace (stage_end carries the stage's verdict), nested inside the
-  // enclosing check span. The offline analyzer rebuilds its waterfalls
-  // from these; the registry stage timers stay the metrics source.
-  //
-  // With prof::counters_enabled() each stage also gets a hardware-counter
-  // window (group read at open, delta at close), accumulated twice: into
-  // the CheckReport's StagePerf slot and into the thread's registry under
-  // "perf.stage.<name>.*" — keeping both views additive means the global
-  // registry always equals the sum over per-check reports, regardless of
-  // how checks were spread across workers.
-  const bool perf_on = prof::counters_enabled();
-  prof::CounterSample perf_mark;
-  const auto open_stage = [&](const char* stage) {
-    telemetry::set_stage_mark(stage);
-    if (prof::heartbeat_enabled()) prof::ActivityBoard::set_stage(stage);
-    if (perf_on) perf_mark = prof::thread_counter_group().read();
-    if (telemetry::trace_enabled()) {
-      telemetry::emit("stage_begin", {{"stage", stage}});
-    }
-    if (flight::enabled()) {
-      flight::record(flight::Kind::kStageBegin, stage);
-    }
-  };
-  const auto close_stage = [&](const char* timer, const char* stage,
-                               const char* status, double& slot,
-                               prof::CounterTotals* perf_slot) {
-    const std::uint64_t ns = stage_watch.ns();
-    reg.timer(timer).add_ns(ns);
-    slot += static_cast<double>(ns) * 1e-9;
-    stage_watch = telemetry::StopWatch();
-    if (perf_on && perf_slot != nullptr) {
-      const prof::CounterDelta d = prof::delta_between(
-          perf_mark, prof::thread_counter_group().read());
-      perf_slot->add(d);
-      prof::add_to_registry(reg, timer, d);
-    }
-    telemetry::set_stage_mark(nullptr);
-    if (telemetry::trace_enabled()) {
-      telemetry::emit("stage_end", {{"stage", stage}, {"status", status}});
-    }
-    if (flight::enabled()) {
-      flight::record(flight::Kind::kStageEnd, stage, 0, 0,
-                     flight_stage_code(status));
-    }
-  };
-
+  // Each pipeline stage runs inside a prof::StageSpan, which is charged
+  // from the previous stage's close.
+  telemetry::StopWatch stage_boundary;
   ConstraintSystem cs(c);
   cs.set_deadline_ns(opt_.deadline_ns);
   // True once the check's deadline has passed: either the fixpoint drain
@@ -296,20 +187,12 @@ CheckReport Verifier::run_check_stages(
     return cs.deadline_hit() || prof::monotonic_ns() >= opt_.deadline_ns;
   };
   if (opt_.use_learning) {
-    open_stage("learning");
+    prof::StageSpan stage("learning", stage_boundary);
     const LearningResult& lr = learning();  // lazily computed once
-    reg.timer("stage.learning").add_ns(stage_watch.ns());
-    stage_watch = telemetry::StopWatch();
-    if (telemetry::trace_enabled()) {
-      telemetry::emit("stage_end", {{"stage", "learning"}, {"status", "-"}});
-    }
-    if (flight::enabled()) {
-      flight::record(flight::Kind::kStageEnd, "learning", 0, 0,
-                     flight::kStageNotRun);
-    }
+    stage.close("-");
     cs.set_implications(&lr.table);
   }
-  open_stage("narrowing");
+  prof::StageSpan narrowing("narrowing", stage_boundary);
 
   // Initial domains (Section 3.3): floating-mode inputs, the delta
   // restriction on s, everything else top; then the globally-impossible
@@ -330,8 +213,8 @@ CheckReport Verifier::run_check_stages(
 
   // Stage 1: plain narrowing fixpoint.
   rep.before_gitd = status_of(cs.reach_fixpoint());
-  close_stage("stage.narrowing", "narrowing", to_string(rep.before_gitd),
-              rep.stage_seconds.narrowing, &rep.stage_perf.narrowing);
+  narrowing.close(to_string(rep.before_gitd), &rep.stage_seconds.narrowing,
+                  &rep.stage_perf.narrowing);
   if (rep.before_gitd == StageStatus::kNoViolation) {
     rep.conclusion = CheckConclusion::kNoViolation;
     return rep;
@@ -343,11 +226,10 @@ CheckReport Verifier::run_check_stages(
 
   // Stage 1.5 (extension, reference [1]): correlated delay narrowing.
   if (mutable_c != nullptr) {
-    open_stage("delay_correlation");
+    prof::StageSpan stage("delay_correlation", stage_boundary);
     const auto stats = apply_delay_correlation(cs, *mutable_c);
-    close_stage("stage.delay_correlation", "delay_correlation",
-                stats.proved_no_violation ? "N" : "P",
-                rep.stage_seconds.narrowing, &rep.stage_perf.narrowing);
+    stage.close(stats.proved_no_violation ? "N" : "P",
+                &rep.stage_seconds.narrowing, &rep.stage_perf.narrowing);
     if (stats.proved_no_violation) {
       rep.before_gitd = StageStatus::kNoViolation;
       rep.conclusion = CheckConclusion::kNoViolation;
@@ -368,7 +250,7 @@ CheckReport Verifier::run_check_stages(
 
   // Stage 2: global implications on dynamic timing dominators (Figure 4).
   if (opt_.use_dominators) {
-    open_stage("gitd");
+    prof::StageSpan stage("gitd", stage_boundary);
     auto& ctr_rounds = reg.counter("gitd.rounds");
     rep.after_gitd = StageStatus::kPossible;
     for (;;) {
@@ -376,21 +258,16 @@ CheckReport Verifier::run_check_stages(
       ctr_rounds.inc();
       const std::size_t narrowed =
           apply_dominator_implications(cs, rep.check, cache);
-      if (telemetry::trace_enabled()) {
-        telemetry::emit("gitd_round", {{"narrowed", narrowed}});
-      }
-      if (flight::enabled()) {
-        flight::record(flight::Kind::kGitdRound, {},
-                       static_cast<std::int64_t>(narrowed));
-      }
+      flight::record(flight::Kind::kGitdRound, {},
+                     static_cast<std::int64_t>(narrowed));
       if (narrowed == 0) break;
       if (cs.reach_fixpoint() == ConstraintSystem::Status::kNoViolation) {
         rep.after_gitd = StageStatus::kNoViolation;
         break;
       }
     }
-    close_stage("stage.gitd", "gitd", to_string(rep.after_gitd),
-                rep.stage_seconds.gitd, &rep.stage_perf.gitd);
+    stage.close(to_string(rep.after_gitd), &rep.stage_seconds.gitd,
+                &rep.stage_perf.gitd);
     if (rep.after_gitd == StageStatus::kNoViolation) {
       rep.conclusion = CheckConclusion::kNoViolation;
       return rep;
@@ -403,7 +280,7 @@ CheckReport Verifier::run_check_stages(
 
   // Stage 3: stem correlation.
   if (opt_.use_stem_correlation) {
-    open_stage("stem");
+    prof::StageSpan stage("stem", stage_boundary);
     const auto stats = apply_stem_correlation(
         cs, rep.check, reconvergent_stems(), opt_.max_stems, cache);
     const bool closed =
@@ -419,8 +296,8 @@ CheckReport Verifier::run_check_stages(
                return true;
            }
          }());
-    close_stage("stage.stem", "stem", closed ? "N" : "P",
-                rep.stage_seconds.stem, &rep.stage_perf.stem);
+    stage.close(closed ? "N" : "P", &rep.stage_seconds.stem,
+                &rep.stage_perf.stem);
     if (closed) {
       rep.after_stem = StageStatus::kNoViolation;
       rep.conclusion = CheckConclusion::kNoViolation;
@@ -440,7 +317,7 @@ CheckReport Verifier::run_check_stages(
   }
   const Scoap* sc =
       opt_.case_analysis.use_scoap ? &scoap() : nullptr;
-  open_stage("case_analysis");
+  prof::StageSpan case_analysis("case_analysis", stage_boundary);
   CaseAnalysisOptions ca_opt = opt_.case_analysis;
   ca_opt.deadline_ns = opt_.deadline_ns;
   const auto outcome = run_case_analysis(cs, rep.check, sc, ca_opt, cache);
@@ -456,9 +333,9 @@ CheckReport Verifier::run_check_stages(
       rep.conclusion = CheckConclusion::kAbandoned;
       break;
   }
-  close_stage("stage.case_analysis", "case_analysis",
-              to_string(rep.conclusion), rep.stage_seconds.case_analysis,
-              &rep.stage_perf.case_analysis);
+  case_analysis.close(to_string(rep.conclusion),
+                      &rep.stage_seconds.case_analysis,
+                      &rep.stage_perf.case_analysis);
   return rep;
 }
 

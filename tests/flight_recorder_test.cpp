@@ -4,6 +4,7 @@
 // produces must load into explain::analyze_trace() with zero warnings.
 #include "common/flight_recorder.hpp"
 
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
@@ -18,6 +19,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/telemetry.hpp"
 #include "explain/analyzer.hpp"
 #include "explain/trace_reader.hpp"
 #include "gen/generators.hpp"
@@ -137,10 +139,14 @@ TEST(FlightRecorder, DeadlineExpiryWritesBlackboxDump) {
   flight::set_enabled(true);
   flight::set_blackbox_dir(dir.path);
 
+  // 300 ms of FAN search on the multiplier is far more than the 4096-slot
+  // ring holds, so the abandoned check's check_begin is long evicted when
+  // the dump is written: the dump must still explain that check.
   Circuit c = gen::build_raw("c6288");
   c.set_uniform_delay(DelaySpec::fixed(10));
   Verifier v(c);
-  v.set_deadline_ns(prof::monotonic_ns() + 50'000'000ull);  // +50ms
+  v.prepare_shared();  // static learning stays out of the 300 ms
+  v.set_deadline_ns(prof::monotonic_ns() + 300'000'000ull);
   const SuiteReport rep = v.check_circuit(Time(500));
   ASSERT_EQ(rep.conclusion, CheckConclusion::kAbandoned);
 
@@ -153,7 +159,22 @@ TEST(FlightRecorder, DeadlineExpiryWritesBlackboxDump) {
   EXPECT_TRUE(an.well_formed())
       << (an.warnings.empty() ? std::string() : an.warnings.front());
   EXPECT_EQ(an.dump_reason, "deadline_expired");
-  EXPECT_GT(an.events, 0u);
+  ASSERT_FALSE(an.checks.empty()) << "the dump explains no check";
+  const explain::CheckTree& abandoned = an.checks.back();
+  EXPECT_EQ(abandoned.conclusion, "A");
+  const auto first_a = std::find_if(
+      rep.per_output.begin(), rep.per_output.end(), [](const CheckReport& r) {
+        return r.conclusion == CheckConclusion::kAbandoned;
+      });
+  ASSERT_NE(first_a, rep.per_output.end());
+  EXPECT_EQ(abandoned.output, c.net(first_a->check.output).name);
+  EXPECT_EQ(abandoned.delta, 500);
+  bool case_analysis_abandoned = false;
+  for (const explain::StageSpan& st : abandoned.stages) {
+    case_analysis_abandoned |= st.stage == "case_analysis" && st.status == "A";
+  }
+  EXPECT_TRUE(case_analysis_abandoned);
+  EXPECT_GT(abandoned.n_decisions + abandoned.n_conflicts, 0u);
 }
 
 TEST(FlightRecorder, FatalSignalDumpSurvivesTheCrash) {
@@ -213,6 +234,121 @@ TEST(FlightRecorder, ExplainLoadsRealCheckDumpWithZeroWarnings) {
   EXPECT_GT(an.dump_records, 0);
   EXPECT_FALSE(an.checks.empty());
   EXPECT_GT(an.event_counts.count("check_begin"), 0u);
+}
+
+/// c17 with names the escaper has work on: a quote and a backslash in a
+/// reconvergent stem's name, and an output name longer than a record keeps.
+Circuit c17_with_awkward_names() {
+  Circuit c("c17");
+  const auto net = [&c](const char* name) {
+    return c.net_by_name_or_add(name);
+  };
+  const char* stem = "st\"em\\11";
+  const char* out = "output_22_with_a_name_longer_than_the_ring_keeps";
+  for (const char* in : {"1", "2", "3", "6", "7"}) c.declare_input(net(in));
+  c.add_gate(GateType::kNand, net("10"), {net("1"), net("3")});
+  c.add_gate(GateType::kNand, net(stem), {net("3"), net("6")});
+  c.add_gate(GateType::kNand, net("16"), {net("2"), net(stem)});
+  c.add_gate(GateType::kNand, net("19"), {net(stem), net("7")});
+  c.add_gate(GateType::kNand, net(out), {net("10"), net("16")});
+  c.add_gate(GateType::kNand, net("23"), {net("16"), net("19")});
+  c.declare_output(net(out));
+  c.declare_output(net("23"));
+  c.finalize();
+  return c;
+}
+
+/// The `explain --canon` form of each event of a trace or dump, minus what
+/// only one of them can carry: the dump's fr_dump header, the part of a
+/// name beyond what a record keeps, and check_end's witness vector.
+std::vector<std::string> comparable_lines(std::istream& in) {
+  std::vector<std::string> out;
+  explain::TraceReader reader(in);
+  explain::TraceEvent ev;
+  while (reader.next(ev)) {
+    if (ev.ev == "fr_dump") continue;
+    std::string line = "{";
+    for (const auto& [k, v] : ev.fields) {
+      if (k == "t" || k == "seq" || (ev.ev == "check_end" && k == "vector")) {
+        continue;
+      }
+      line += k + "=";
+      line += v.kind == explain::TraceValue::Kind::kString &&
+                      v.str.size() >= flight::kNameCap
+                  ? "\"" + v.str.substr(0, flight::kNameCap) + "...\""
+                  : v.raw;
+      line += ";";
+    }
+    out.push_back(line + "}");
+  }
+  EXPECT_TRUE(reader.error().empty()) << reader.error();
+  return out;
+}
+
+TEST(FlightRecorder, TraceAndDumpCarryTheSameEvents) {
+  RecorderGuard guard;
+  flight::reset_for_test();
+  flight::set_enabled(true);
+
+  // At delta* c17 runs every stage: stems (one reconvergent stem carries
+  // the awkward name), propagations, and a FAN search ending V.
+  Circuit c = c17_with_awkward_names();
+  c.set_uniform_delay(DelaySpec::fixed(10));
+  Verifier v(c);
+  std::stringstream trace;
+  {
+    telemetry::JsonlTraceSink sink(trace);
+    telemetry::set_trace_sink(&sink);
+    const SuiteReport rep = v.check_circuit(Time(30));
+    telemetry::set_trace_sink(nullptr);
+    ASSERT_EQ(rep.conclusion, CheckConclusion::kViolation);
+  }
+  std::stringstream dump;
+  flight::dump(dump, "parity");
+
+  const std::string raw = trace.str();
+  EXPECT_NE(raw.find("\"net\":\"st\\\"em\\\\11\""), std::string::npos)
+      << "the trace must carry the stem's name json-escaped";
+  EXPECT_NE(raw.find("\"output\":\"output_22_with_a_name_longer_than_the_ring"
+                     "_keeps\""),
+            std::string::npos)
+      << "the trace must carry the full-length output name";
+  const std::vector<std::string> from_trace = comparable_lines(trace);
+  const std::vector<std::string> from_dump = comparable_lines(dump);
+  ASSERT_FALSE(from_trace.empty());
+  for (const char* ev : {"stage_end", "stem", "propagate", "decision"}) {
+    EXPECT_NE(raw.find(std::string("{\"ev\":\"") + ev + "\""),
+              std::string::npos)
+        << "the run records no " << ev;
+  }
+  ASSERT_EQ(from_trace.size(), from_dump.size());
+  for (std::size_t i = 0; i < from_trace.size(); ++i) {
+    EXPECT_EQ(from_trace[i], from_dump[i]) << "event " << i;
+  }
+}
+
+TEST(FlightRecorder, LongTraceLinesStayWhole) {
+  RecorderGuard guard;
+  flight::reset_for_test();
+  const std::string name(300, 'n');
+  const std::string vector(2000, '1');
+  std::stringstream trace;
+  {
+    telemetry::JsonlTraceSink sink(trace);
+    telemetry::set_trace_sink(&sink);
+    flight::record(flight::Kind::kCheckEnd, name, 1'500'000'000, 7, 'V', 0,
+                   vector);
+    telemetry::set_trace_sink(nullptr);
+  }
+  explain::TraceReader reader(trace);
+  explain::TraceEvent ev;
+  ASSERT_TRUE(reader.next(ev)) << reader.error();
+  EXPECT_EQ(ev.ev, "check_end");
+  EXPECT_EQ(ev.str("output"), name);
+  EXPECT_EQ(ev.str("conclusion"), "V");
+  EXPECT_EQ(ev.find("seconds")->raw, "1.500000000");
+  EXPECT_EQ(ev.str("vector"), vector);
+  EXPECT_FALSE(reader.next(ev));
 }
 
 TEST(FlightRecorder, DisabledRecorderRecordsNothing) {

@@ -32,17 +32,54 @@ bool initial_enabled() {
 }  // namespace
 
 std::atomic<bool> g_enabled{initial_enabled()};
-thread_local Ring* t_ring = nullptr;
+constinit thread_local Slot* t_slot = nullptr;
 
 namespace {
-constexpr int kMaxRings = 64;
-// Ring pointers are published with release stores and never retired: a
-// thread that exits leaves its ring behind for post-mortem dumps, and the
-// fatal-signal path can walk the table without locks.
-std::atomic<Ring*> g_rings[kMaxRings];
-std::atomic<int> g_ring_count{0};
-std::mutex g_claim_mu;
-thread_local bool t_claim_failed = false;
+// The slot table, allocated by the first claim and never freed (post-mortem
+// data): a slot's ring pages stay untouched until its thread records, and
+// the fatal-signal path can walk the table without locks. `g_used` is the
+// high-water mark: slots below it have been claimed at least once.
+std::atomic<Slot*> g_table{nullptr};
+std::atomic<int> g_used{0};
+
+Slot* table() {
+  static Slot* const t = [] {
+    Slot* p = new Slot[kMaxRings];  // default-initialized: rings untouched
+    g_table.store(p, std::memory_order_release);
+    return p;
+  }();
+  return t;
+}
+
+// Set once the calling thread's lease has returned its slot: anything it
+// records later (from another thread_local's destructor) goes to a private
+// slot instead of re-entering the table.
+thread_local bool t_released = false;
+
+/// Returns the thread's slot when it exits: a table slot goes back to the
+/// table, a private one is freed.
+struct Lease {
+  Slot* slot;
+  bool shared;
+  ~Lease() {
+    t_slot = nullptr;
+    t_released = true;
+    if (!shared) {
+      delete slot;
+      return;
+    }
+    slot->idle();
+    slot->chk.store(-1, std::memory_order_release);
+    slot->live.store(false, std::memory_order_release);
+  }
+};
+
+std::span<Slot> used_slots() {
+  const int n = g_used.load(std::memory_order_acquire);
+  if (n == 0) return {};
+  return {g_table.load(std::memory_order_acquire),
+          static_cast<std::size_t>(n)};
+}
 
 std::uint64_t now_ns() {
   timespec ts{};
@@ -52,34 +89,60 @@ std::uint64_t now_ns() {
 }
 }  // namespace
 
-Ring* claim_ring() {
-  if (t_claim_failed) return nullptr;
-  std::lock_guard<std::mutex> lock(g_claim_mu);
-  const int idx = g_ring_count.load(std::memory_order_relaxed);
-  if (idx >= kMaxRings) {
-    t_claim_failed = true;
-    return nullptr;
+Slot& claim_slot() {
+  // The lowest free slot: a released slot, and the ring pages its last
+  // thread touched, are reused before a fresh one is, which keeps the
+  // table's resident memory to what the live threads need.
+  Slot* const slots = table();
+  Slot* s = nullptr;
+  for (int i = 0; i < kMaxRings && !t_released; ++i) {
+    bool free = false;
+    if (!slots[i].live.load(std::memory_order_relaxed) &&
+        slots[i].live.compare_exchange_strong(free, true,
+                                              std::memory_order_acquire)) {
+      s = &slots[i];
+      int used = g_used.load(std::memory_order_relaxed);
+      while (used <= i && !g_used.compare_exchange_weak(
+                              used, i + 1, std::memory_order_release)) {
+      }
+      break;
+    }
   }
-  Ring* r = new Ring();  // intentionally never freed (post-mortem data)
-  g_rings[idx].store(r, std::memory_order_release);
-  g_ring_count.store(idx + 1, std::memory_order_release);
-  t_ring = r;
-  return r;
+  const bool shared = s != nullptr;
+  if (!shared) s = new Slot;  // table full (or thread exiting): private
+  s->worker.store(0, std::memory_order_relaxed);
+  s->chk.store(-1, std::memory_order_release);
+  s->dec.store(-1, std::memory_order_relaxed);
+  s->depth.store(0, std::memory_order_relaxed);
+  s->idle();
+  t_slot = s;
+  if (!t_released) {
+    thread_local Lease lease{s, shared};
+  }
+  return *s;
 }
 
 }  // namespace detail
+
+void Slot::busy(const char* what, std::int64_t d) {
+  since_ns.store(detail::now_ns(), std::memory_order_relaxed);
+  stage.store(nullptr, std::memory_order_relaxed);
+  depth.store(0, std::memory_order_relaxed);
+  delta.store(d, std::memory_order_release);
+  check.store(what, std::memory_order_release);
+}
 
 void set_enabled(bool on) {
   detail::g_enabled.store(on, std::memory_order_relaxed);
 }
 
+std::span<const Slot> slots() { return detail::used_slots(); }
+
 RecorderStats stats() {
   RecorderStats s;
-  s.rings = detail::g_ring_count.load(std::memory_order_acquire);
-  for (int i = 0; i < s.rings; ++i) {
-    Ring* r = detail::g_rings[i].load(std::memory_order_acquire);
-    if (r != nullptr) s.records += r->head();
-  }
+  const std::span<const Slot> table = slots();
+  s.rings = static_cast<int>(table.size());
+  for (const Slot& slot : table) s.records += slot.ring.head();
   return s;
 }
 
@@ -87,11 +150,7 @@ void reset_for_test() {
   // Heads are advanced by owning threads only; a concurrent push during a
   // test reset is the test's hazard. Resetting the head to 0 makes the ring
   // report no readable records without touching slot contents.
-  const int n = detail::g_ring_count.load(std::memory_order_acquire);
-  for (int i = 0; i < n; ++i) {
-    Ring* r = detail::g_rings[i].load(std::memory_order_acquire);
-    if (r != nullptr) r->reset_for_test();
-  }
+  for (Slot& slot : detail::used_slots()) slot.ring.reset_for_test();
 }
 
 // ---------------------------------------------------------------------------
@@ -382,11 +441,11 @@ bool valid_kind(std::uint8_t k) {
 void detail::record(Kind kind, std::string_view name, std::int64_t a,
                     std::int64_t b, std::uint8_t aux, std::uint32_t c,
                     std::string_view vector) {
+  Slot& slot = self();
   Record rec{};
   rec.t_ns = detail::now_ns();
-  const telemetry::SpanContext& ctx = telemetry::span_context();
-  rec.chk = ctx.chk;
-  rec.dec = ctx.dec;
+  rec.chk = slot.chk.load(std::memory_order_relaxed);
+  rec.dec = slot.dec.load(std::memory_order_relaxed);
   rec.a = a;
   rec.b = b;
   rec.c = c;
@@ -396,13 +455,9 @@ void detail::record(Kind kind, std::string_view name, std::int64_t a,
   if (n != 0) std::memcpy(rec.name, name.data(), n);
   rec.kind = static_cast<std::uint8_t>(kind);
   rec.aux = aux;
-  const int w = telemetry::worker_id();
+  const int w = slot.worker.load(std::memory_order_relaxed);
   rec.w = static_cast<std::uint8_t>(w < 0 ? 0 : (w > 255 ? 255 : w));
-  if (enabled()) {
-    Ring* ring = detail::t_ring;
-    if (ring == nullptr) ring = detail::claim_ring();
-    if (ring != nullptr) ring->push(rec);
-  }
+  if (enabled()) slot.ring.push(rec);
   if (telemetry::TraceSink* sink = telemetry::trace_sink()) {
     // The trace line is the dump line with the full-length name and the
     // witness vector; a long one is rendered again into a heap buffer.
@@ -422,21 +477,43 @@ void detail::record(Kind kind, std::string_view name, std::int64_t a,
 // Sanitizing merged dump (normal path).
 // ---------------------------------------------------------------------------
 
+namespace {
+/// Fills `open`'s name and delta (`a`) from the slot whose open check is
+/// `chk`, or names it "?" when no slot holds it any more. The identity
+/// fields are re-read around the copy, so a thread moving on to its next
+/// check mid-read is never mistaken for this one.
+void running_check(std::span<const Slot> table, std::int64_t chk,
+                   Record& open) {
+  open.name[0] = '?';
+  for (const Slot& slot : table) {
+    if (slot.chk.load(std::memory_order_acquire) != chk) continue;
+    const char* name = slot.check.load(std::memory_order_acquire);
+    const std::int64_t delta = slot.delta.load(std::memory_order_acquire);
+    if (name == nullptr || slot.chk.load(std::memory_order_acquire) != chk) {
+      return;
+    }
+    const std::string_view sv(name);
+    std::memcpy(open.name, sv.data(), ring_name_len(sv));
+    open.a = delta;
+    return;
+  }
+}
+}  // namespace
+
 void dump(std::ostream& os, std::string_view reason) {
   // Snapshot every ring. Recording stays live (a serve daemon dumps while
   // still fielding traffic), so after copying we re-read the head and
   // discard the prefix that may have been overwritten mid-copy.
   std::vector<Record> recs;
   std::uint64_t torn = 0;
-  const int nrings = detail::g_ring_count.load(std::memory_order_acquire);
-  for (int i = 0; i < nrings; ++i) {
-    Ring* ring = detail::g_rings[i].load(std::memory_order_acquire);
-    if (ring == nullptr) continue;
-    const std::uint64_t h = ring->head();
+  const std::span<const Slot> table = slots();
+  for (const Slot& slot : table) {
+    const Ring& ring = slot.ring;
+    const std::uint64_t h = ring.head();
     const std::uint64_t lo = h > Ring::kCapacity ? h - Ring::kCapacity : 0;
     const std::size_t base = recs.size();
-    for (std::uint64_t u = lo; u < h; ++u) recs.push_back(ring->slot(u));
-    const std::uint64_t h2 = ring->head();
+    for (std::uint64_t u = lo; u < h; ++u) recs.push_back(ring.slot(u));
+    const std::uint64_t h2 = ring.head();
     const std::uint64_t lo2 = h2 > Ring::kCapacity ? h2 - Ring::kCapacity : 0;
     if (lo2 > lo) {
       const std::uint64_t overwritten = std::min(lo2 - lo, h - lo);
@@ -497,7 +574,7 @@ void dump(std::ostream& os, std::string_view reason) {
   // Header first; its drop count is patched conceptually by the docs — the
   // exact number of sanitized records is emitted in a trailing mark instead.
   os.write(line, static_cast<std::streamsize>(format_header(
-                     reason, static_cast<std::uint64_t>(nrings),
+                     reason, table.size(),
                      static_cast<std::uint64_t>(recs.size()), torn, line,
                      kLineCap)));
 
@@ -522,7 +599,7 @@ void dump(std::ostream& os, std::string_view reason) {
           std::memcpy(open.name, cs.end->name, kNameCap);
           open.a = cs.end->b;
         } else {
-          open.name[0] = '?';  // still running, and its end is not known yet
+          running_check(table, r.chk, open);
         }
         write_rec(open);
         cs.open = true;
@@ -673,16 +750,13 @@ void dump_signal_safe(int fd, const char* reason) {
   // per-ring head bounds below tolerate.
   detail::g_enabled.store(false, std::memory_order_relaxed);
 
-  const int nrings = detail::g_ring_count.load(std::memory_order_acquire);
-  constexpr int kMax = 64;
-  std::uint64_t cur[kMax];
-  std::uint64_t end[kMax];
-  Ring* rings[kMax];
+  std::uint64_t cur[kMaxRings];
+  std::uint64_t end[kMaxRings];
+  const Ring* rings[kMaxRings];
   std::uint64_t total = 0;
   int n = 0;
-  for (int i = 0; i < nrings && i < kMax; ++i) {
-    Ring* r = detail::g_rings[i].load(std::memory_order_acquire);
-    if (r == nullptr) continue;
+  for (const Slot& slot : slots()) {
+    const Ring* r = &slot.ring;
     const std::uint64_t h = r->head();
     rings[n] = r;
     cur[n] = h > Ring::kCapacity ? h - Ring::kCapacity : 0;

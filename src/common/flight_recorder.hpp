@@ -1,25 +1,34 @@
-// The engine's event spine and its always-on flight recorder. Every engine
-// event (check and stage spans, FAN decisions/backtracks, propagations,
-// cache queries, serve request lifecycle) is written once, by `record()`,
-// into a lock-free, fixed-size per-thread ring of compact binary records;
-// when a trace sink is installed, the same call also hands the sink the
-// event's JSONL line, rendered by the formatter the dump uses, so the trace
-// and the dump share one schema and one writer.
+// The engine's event spine, its always-on flight recorder, and the table of
+// per-thread slots both live in. Every engine event (check and stage spans,
+// FAN decisions/backtracks, propagations, cache queries, serve request
+// lifecycle) is written once, by `record()`, into a lock-free, fixed-size
+// per-thread ring of compact binary records; when a trace sink is installed,
+// the same call also hands the sink the event's JSONL line, rendered by the
+// formatter the dump uses, so the trace and the dump share one schema and
+// one writer.
 //
 // Unlike the trace sink — opt-in, allocating, unbounded — the recorder is
 // meant to stay on in production: each record is one 64-byte struct copy
-// into a thread-local ring plus one release store, with no allocation, no
+// into the thread's ring plus one release store, with no allocation, no
 // locks and no formatting on the hot path. The rings hold the last ~4096
 // records per thread; when something goes wrong (watchdog stall, deadline
 // expiry, fatal signal, explicit `--blackbox DIR`) the rings are merged
 // chronologically and dumped as explain-compatible JSONL, so `waveck
 // explain` can reconstruct the final seconds before the incident.
 //
-// Concurrency model: each ring has exactly one writer (its owning thread).
-// The head index is published with a release store after the record body,
-// and readers re-check the head after copying to discard records that were
-// overwritten mid-read (seqlock-style). Ring slots are never reclaimed, so
-// a post-mortem dump still sees rings of threads that have exited.
+// Each live thread owns one `Slot` of a fixed 64-entry table: its ring plus
+// what it is doing right now (worker id, open check and stage, span ids,
+// decision depth, progress tick). The heartbeat, the watchdog, the
+// profiler's SIGPROF handler and the dumps all read the same slots. A
+// thread claims a slot on first use and returns it when it exits; the next
+// thread to claim it keeps appending to its ring, so a dump still sees the
+// records of an exited thread until its successor overwrites them.
+//
+// Concurrency model: each slot has exactly one writer (its owning thread),
+// which writes with plain atomic stores, never a read-modify-write. A
+// ring's head index is published with a release store after the record
+// body, and readers re-check the head after copying to discard records that
+// were overwritten mid-read (seqlock-style).
 //
 // The fatal-signal path (`dump_signal_safe`) uses only async-signal-safe
 // operations: no allocation, no locks, manual integer formatting, write(2).
@@ -28,6 +37,7 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -117,13 +127,58 @@ class Ring {
 
  private:
   std::atomic<std::uint64_t> head_{0};
-  Record slots_[kCapacity] = {};
+  // Not value-initialized: a reader only copies records below the head,
+  // so a ring's pages stay untouched until it is written.
+  Record slots_[kCapacity];
 };
+
+/// One live thread's slot: its flight ring and what the thread is doing.
+/// Only the owning thread writes a slot; the heartbeat, the watchdog, the
+/// SIGPROF handler and the dumps read it from anywhere. The identity fields
+/// of a check (`check`, `delta`, `chk`) use release stores so a reader can
+/// match them as a set (see dump()); the rest are relaxed. Cache-line
+/// aligned, so two threads' slots never share a line.
+struct alignas(64) Slot {
+  Ring ring;  // keeps its head when the slot is recycled
+  std::atomic<bool> live{false};  // claimed by a running thread
+  std::atomic<int> worker{0};     // 0 main thread, 1..N pool workers
+  std::atomic<std::int64_t> chk{-1};  // open check span id (-1 none)
+  std::atomic<std::int64_t> dec{-1};  // open decision id (-1 search root)
+  /// What the thread is busy with: an open check's output name (interned,
+  /// process-lifetime) or a literal such as "load"; null when idle.
+  std::atomic<const char*> check{nullptr};
+  std::atomic<std::int64_t> delta{0};       // the open check's delta
+  std::atomic<const char*> stage{nullptr};  // literal stage name, or null
+  std::atomic<std::uint64_t> since_ns{0};   // CLOCK_MONOTONIC at busy()
+  std::atomic<std::int64_t> depth{0};       // FAN decision depth
+  /// Forward-progress tick (gate evaluations); monotonic, and kept when
+  /// the slot is recycled, so the watchdog's sum never goes back.
+  std::atomic<std::uint64_t> progress{0};
+
+  /// Marks the thread busy with `what` since now, at stage "-", depth 0.
+  void busy(const char* what, std::int64_t d = 0);
+  /// Marks the thread idle.
+  void idle() {
+    check.store(nullptr, std::memory_order_release);
+    stage.store(nullptr, std::memory_order_relaxed);
+  }
+  void tick(std::uint64_t n) {
+    progress.store(progress.load(std::memory_order_relaxed) + n,
+                   std::memory_order_relaxed);
+  }
+};
+
+/// At most this many threads hold a registered slot at once. A thread that
+/// finds the table full gets a private slot nobody reads: its events still
+/// reach the trace, but not dumps or the heartbeat.
+inline constexpr int kMaxRings = 64;
 
 namespace detail {
 extern std::atomic<bool> g_enabled;
-Ring* claim_ring();  // registers the calling thread's ring (slow path)
-extern thread_local Ring* t_ring;
+// constinit: no dynamic initialization, so other translation units read
+// it without a TLS wrapper call.
+extern constinit thread_local Slot* t_slot;
+Slot& claim_slot();  // slow path of self()
 void record(Kind kind, std::string_view name, std::int64_t a, std::int64_t b,
             std::uint8_t aux, std::uint32_t c, std::string_view vector);
 }  // namespace detail
@@ -136,15 +191,24 @@ void record(Kind kind, std::string_view name, std::int64_t a, std::int64_t b,
 }
 void set_enabled(bool on);
 
+/// The calling thread's slot, claimed on first use and returned to the
+/// table when the thread exits.
+[[nodiscard]] inline Slot& self() {
+  Slot* s = detail::t_slot;
+  return s != nullptr ? *s : detail::claim_slot();
+}
+
+/// Every table slot a thread has claimed so far, live or released (its ring
+/// may still hold records). Safe to walk from any thread.
+[[nodiscard]] std::span<const Slot> slots();
+
 /// Writes one engine event; the only writer of the events `Kind` lists.
-/// When `enabled()`, appends the record to the calling thread's ring
-/// (claiming a ring on first use; dropped if the 64-slot thread table is
-/// full). When a trace sink is installed, hands the sink the same event's
-/// JSONL line, rendered by the dump's formatter from these arguments with
-/// the full-length name plus `vector` — check_end's witness, the one field
-/// the ring does not keep. `chk`/`dec` are captured from
-/// telemetry::span_context(), `w` from telemetry::worker_id(). With neither
-/// on, the cost is two relaxed loads and a branch.
+/// When `enabled()`, appends the record to the calling thread's ring. When
+/// a trace sink is installed, hands the sink the same event's JSONL line,
+/// rendered by the dump's formatter from these arguments with the
+/// full-length name plus `vector` — check_end's witness, the one field the
+/// ring does not keep. `chk`, `dec` and `w` are read from the thread's
+/// slot. With neither on, the cost is two relaxed loads and a branch.
 inline void record(Kind kind, std::string_view name = {}, std::int64_t a = 0,
                    std::int64_t b = 0, std::uint8_t aux = 0,
                    std::uint32_t c = 0, std::string_view vector = {}) {
@@ -154,7 +218,7 @@ inline void record(Kind kind, std::string_view name = {}, std::int64_t a = 0,
 }
 
 /// Snapshot of how much the recorder has seen: `rings` is the number of
-/// registered threads.
+/// table slots ever claimed (at most kMaxRings).
 struct RecorderStats {
   int rings = 0;
   std::uint64_t records = 0;  // sum of ring heads (includes overwritten)
@@ -171,10 +235,11 @@ void reset_for_test();
 /// was already overwritten get a synthetic open: a check_begin (output and
 /// delta from the check's surviving check_end) before the check's first
 /// surviving record, and a stage_begin for the check's first surviving
-/// stage_end that has none. Still-open spans get synthetic closes appended
-/// (decision_close "truncated", stage_end "-", check_end "A"), so
-/// `explain::analyze_trace` reports well_formed() == true on every dump
-/// this writer produces.
+/// stage_end that has none. A check with no surviving check_end is still
+/// running, and its output and delta come from the slot whose `chk` it is.
+/// Still-open spans get synthetic closes appended (decision_close
+/// "truncated", stage_end "-", check_end "A"), so `explain::analyze_trace`
+/// reports well_formed() == true on every dump this writer produces.
 void dump(std::ostream& os, std::string_view reason);
 
 /// Async-signal-safe variant for the fatal-signal handler: streams a k-way

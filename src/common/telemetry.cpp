@@ -3,7 +3,8 @@
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_set>
+
+#include "common/flight_recorder.hpp"
 
 namespace waveck::telemetry {
 
@@ -13,54 +14,11 @@ std::atomic<TraceSink*> g_trace_sink{nullptr};
 
 namespace {
 thread_local Registry* t_registry = nullptr;
-thread_local int t_worker_id = 0;
-thread_local SpanContext t_span;
-// Atomic so the SIGPROF handler's read is async-signal-safe.
-thread_local std::atomic<const char*> t_stage_mark{nullptr};
-thread_local std::atomic<const char*> t_check_mark{nullptr};
-std::atomic<std::int64_t> g_next_check_id{0};
-
-/// The process-lifetime copy of `name` (see set_check_mark). Node-based, so
-/// a returned pointer survives later insertions; never destroyed, so it
-/// also survives static destruction.
-const char* intern_mark(const char* name) {
-  static std::mutex mu;
-  static auto* names = new std::unordered_set<std::string>();
-  const std::lock_guard<std::mutex> lock(mu);
-  return names->emplace(name).first->c_str();
-}
 }  // namespace
 
 void set_trace_sink(TraceSink* sink) {
   detail::g_trace_sink.store(sink, std::memory_order_release);
 }
-
-int worker_id() { return t_worker_id; }
-void set_worker_id(int id) { t_worker_id = id; }
-
-const char* stage_mark() {
-  return t_stage_mark.load(std::memory_order_relaxed);
-}
-void set_stage_mark(const char* stage) {
-  t_stage_mark.store(stage, std::memory_order_relaxed);
-}
-const char* check_mark() {
-  return t_check_mark.load(std::memory_order_relaxed);
-}
-void set_check_mark(const char* check) {
-  t_check_mark.store(check != nullptr ? intern_mark(check) : nullptr,
-                     std::memory_order_relaxed);
-}
-
-SpanContext& span_context() { return t_span; }
-
-ScopedCheckSpan::ScopedCheckSpan()
-    : id_(g_next_check_id.fetch_add(1, std::memory_order_relaxed) + 1),
-      prev_(t_span) {
-  t_span = SpanContext{id_, -1};
-}
-
-ScopedCheckSpan::~ScopedCheckSpan() { t_span = prev_; }
 
 Registry& Registry::global() {
   static Registry instance;
@@ -372,10 +330,12 @@ JsonlTraceSink::JsonlTraceSink(const std::string& path)
 void JsonlTraceSink::event(std::string_view name,
                            std::span<const TraceField> fields) {
   std::ostringstream body;
-  body << ",\"w\":" << worker_id();
-  const SpanContext& span = span_context();
-  if (span.chk >= 0) body << ",\"chk\":" << span.chk;
-  if (span.dec >= 0) body << ",\"dec\":" << span.dec;
+  const flight::Slot& self = flight::self();
+  const std::int64_t chk = self.chk.load(std::memory_order_relaxed);
+  const std::int64_t dec = self.dec.load(std::memory_order_relaxed);
+  body << ",\"w\":" << self.worker.load(std::memory_order_relaxed);
+  if (chk >= 0) body << ",\"chk\":" << chk;
+  if (dec >= 0) body << ",\"dec\":" << dec;
   for (const TraceField& f : fields) {
     body << ",\"" << json_escape(f.key) << "\":";
     switch (f.kind) {

@@ -453,54 +453,6 @@ extern std::atomic<TraceSink*> g_trace_sink;
 /// Install/remove while worker threads may emit is the caller's hazard.
 void set_trace_sink(TraceSink* sink);
 
-/// The calling thread's worker id, stamped into every JSONL trace line as
-/// the "w" field: 0 on the main thread, 1..N on scheduler pool workers.
-[[nodiscard]] int worker_id();
-void set_worker_id(int id);
-
-/// Position marks for the sampling profiler (src/prof): the verifier stamps
-/// the current check's output name and pipeline stage into thread-local
-/// slots, and the SIGPROF handler reads them back to annotate each captured
-/// stack. Stored as lock-free atomics so the read is async-signal-safe.
-/// Samples keep the mark pointers until the profiler stops, possibly after
-/// the circuit is gone, so marks live as long as the process: stage names
-/// are literals, and `set_check_mark` copies the check's name once into an
-/// append-only table (a mutex, never taken in the handler); `check_mark()`
-/// returns that copy. nullptr = no mark.
-[[nodiscard]] const char* stage_mark();
-void set_stage_mark(const char* stage);
-[[nodiscard]] const char* check_mark();
-void set_check_mark(const char* check);
-
-/// The calling thread's open trace span. `chk` is the id of the enclosing
-/// timing check (-1 outside any check), `dec` the id of the FAN decision
-/// subtree the engine is currently working under (-1 at the search root).
-/// JsonlTraceSink stamps both into every line when set, which is how deep
-/// events (`propagate`, `conflict`, `cache`) get attributed to a check and
-/// decision without threading ids through the hot call sites.
-struct SpanContext {
-  std::int64_t chk = -1;
-  std::int64_t dec = -1;
-};
-[[nodiscard]] SpanContext& span_context();
-
-/// RAII for the check-level span: allocates a process-unique 1-based check
-/// id, installs it as the thread's span context (with `dec` cleared), and
-/// restores the previous context on destruction.
-class ScopedCheckSpan {
- public:
-  ScopedCheckSpan();
-  ScopedCheckSpan(const ScopedCheckSpan&) = delete;
-  ScopedCheckSpan& operator=(const ScopedCheckSpan&) = delete;
-  ~ScopedCheckSpan();
-
-  [[nodiscard]] std::int64_t id() const { return id_; }
-
- private:
-  std::int64_t id_;
-  SpanContext prev_;
-};
-
 /// Emits a supervisor or tool event iff a sink is installed. Engine events
 /// go through flight::record instead, which writes the flight record and the
 /// trace line from one call.
@@ -514,8 +466,9 @@ inline void emit(std::string_view name,
 /// Streams events as JSON Lines: one object per event, first keys always
 /// "ev" (event name), "seq" (1-based sequence number), "t" (ns since the
 /// sink was created) and "w" (emitting worker id), then — when the emitting
-/// thread has an open span — "chk" (check id) and "dec" (decision id), then
-/// the producer fields in order. Lines are formatted into a local buffer
+/// thread has an open span — "chk" (check id) and "dec" (decision id), all
+/// three read from the thread's flight::Slot, then the producer fields in
+/// order. Lines are formatted into a local buffer
 /// and written under a mutex, so events from concurrent workers never
 /// interleave mid-line.
 class JsonlTraceSink final : public TraceSink {

@@ -6,7 +6,6 @@
 
 #include "common/flight_recorder.hpp"
 #include "constraints/projection.hpp"
-#include "prof/heartbeat.hpp"
 #include "prof/perf_counters.hpp"
 
 namespace waveck {
@@ -33,8 +32,6 @@ ConstraintSystem::ConstraintSystem(const Circuit& circuit)
       gate_level_(circuit.num_gates(), 0),
       save_epoch_(circuit.num_nets(), 0),
       ctr_fixpoints_(telemetry::Registry::current().counter("engine.fixpoints")),
-      ctr_applications_(
-          telemetry::Registry::current().counter("engine.applications")),
       ctr_narrowings_(
           telemetry::Registry::current().counter("engine.narrowings")),
       ctr_conflicts_(telemetry::Registry::current().counter("engine.conflicts")),
@@ -272,7 +269,6 @@ ConstraintSystem::Status ConstraintSystem::reach_fixpoint() {
   }
 
   ctr_fixpoints_.inc();
-  ctr_applications_.add(applications_ - apps0);
   ctr_gate_evals_.add(applications_ - apps0);
   ctr_narrowings_.add(narrowings_ - nar0);
   ctr_level_sweeps_.add(sweeps);
@@ -290,9 +286,7 @@ ConstraintSystem::Status ConstraintSystem::reach_fixpoint() {
   // Liveness tick for the --progress monitor: gate evaluations are the
   // engine's finest-grained forward-progress unit (+1 so even an empty
   // drain counts as life).
-  if (prof::heartbeat_enabled()) {
-    prof::ActivityBoard::tick(applications_ - apps0 + 1);
-  }
+  flight::self().tick(applications_ - apps0 + 1);
   h_fixpoint_narrowings_.observe(narrowings_ - nar0);
   lh_queue_depth_.flush();
   lh_narrowing_magnitude_.flush();

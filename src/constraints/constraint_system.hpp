@@ -256,7 +256,6 @@ class ConstraintSystem final {
   // fixpoint exit (and on destruction), so per-event observation stays
   // non-atomic.
   telemetry::Counter& ctr_fixpoints_;
-  telemetry::Counter& ctr_applications_;
   telemetry::Counter& ctr_narrowings_;
   telemetry::Counter& ctr_conflicts_;
   telemetry::Counter& ctr_gate_evals_;

@@ -5,73 +5,13 @@
 #include <cstdio>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "common/flight_recorder.hpp"
 #include "common/telemetry.hpp"
 #include "prof/perf_counters.hpp"
 
 namespace waveck::prof {
-
-namespace detail {
-std::atomic<bool> g_heartbeat_enabled{false};
-}  // namespace detail
-
-void set_heartbeat_enabled(bool on) {
-  detail::g_heartbeat_enabled.store(on, std::memory_order_relaxed);
-}
-
-ActivityBoard& ActivityBoard::instance() {
-  static ActivityBoard board;
-  return board;
-}
-
-WorkerActivity& ActivityBoard::slot(int worker) {
-  const int i = worker >= 0 && worker < kMaxWorkers ? worker : 0;
-  return slots_[i];
-}
-
-namespace {
-WorkerActivity& self_slot() {
-  return ActivityBoard::instance().slot(telemetry::worker_id());
-}
-}  // namespace
-
-void ActivityBoard::begin_check(const char* output, std::int64_t chk) {
-  WorkerActivity& s = self_slot();
-  s.output.store(output, std::memory_order_relaxed);
-  s.stage.store(nullptr, std::memory_order_relaxed);
-  s.chk.store(chk, std::memory_order_relaxed);
-  s.depth.store(0, std::memory_order_relaxed);
-  s.since_ns.store(monotonic_ns(), std::memory_order_relaxed);
-}
-
-void ActivityBoard::end_check() {
-  WorkerActivity& s = self_slot();
-  s.output.store(nullptr, std::memory_order_relaxed);
-  s.stage.store(nullptr, std::memory_order_relaxed);
-  s.chk.store(-1, std::memory_order_relaxed);
-  s.depth.store(0, std::memory_order_relaxed);
-}
-
-void ActivityBoard::set_stage(const char* stage) {
-  self_slot().stage.store(stage, std::memory_order_relaxed);
-}
-
-void ActivityBoard::set_depth(std::int64_t depth) {
-  self_slot().depth.store(depth, std::memory_order_relaxed);
-}
-
-void ActivityBoard::tick(std::uint64_t n) {
-  self_slot().progress.fetch_add(n, std::memory_order_relaxed);
-}
-
-std::uint64_t ActivityBoard::total_progress() const {
-  std::uint64_t total = 0;
-  for (const WorkerActivity& s : slots_) {
-    total += s.progress.load(std::memory_order_relaxed);
-  }
-  return total;
-}
 
 namespace {
 
@@ -97,6 +37,42 @@ std::string fmt_s(double s) {
   return buf;
 }
 
+/// Sum of every slot's progress tick; the watchdog's liveness signal.
+std::uint64_t total_progress() {
+  std::uint64_t total = 0;
+  for (const flight::Slot& s : flight::slots()) {
+    total += s.progress.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+/// One busy thread's activity, read from its slot: worker id, what it is
+/// doing, stage, depth, check id and seconds since it started.
+struct Busy {
+  int w;
+  const char* what;
+  const char* stage;
+  std::int64_t depth, chk;
+  double seconds;
+};
+
+std::vector<Busy> busy_threads(std::uint64_t now) {
+  std::vector<Busy> out;
+  for (const flight::Slot& s : flight::slots()) {
+    const char* what = s.check.load(std::memory_order_acquire);
+    if (!s.live.load(std::memory_order_relaxed) || what == nullptr) continue;
+    const char* stage = s.stage.load(std::memory_order_relaxed);
+    // A thread that went busy after `now` was read has not started yet.
+    const std::uint64_t since = s.since_ns.load(std::memory_order_relaxed);
+    out.push_back({s.worker.load(std::memory_order_relaxed), what,
+                   stage != nullptr ? stage : "-",
+                   s.depth.load(std::memory_order_relaxed),
+                   s.chk.load(std::memory_order_relaxed),
+                   static_cast<double>(now > since ? now - since : 0) * 1e-9});
+  }
+  return out;
+}
+
 }  // namespace
 
 ProgressMonitor::ProgressMonitor(const HeartbeatOptions& opt,
@@ -106,7 +82,6 @@ ProgressMonitor::ProgressMonitor(const HeartbeatOptions& opt,
   stall_s_ = opt_.stall_s > 0.0
                  ? opt_.stall_s
                  : std::max(30.0, 6.0 * opt_.interval_s);
-  set_heartbeat_enabled(true);
   telemetry::emit("progress_begin",
                   {{"interval_s", opt_.interval_s}, {"stall_s", stall_s_}});
   thread_ = std::thread([this] { run(); });
@@ -126,15 +101,13 @@ void ProgressMonitor::stop() {
     const std::scoped_lock lock(mu_);
     stopped_ = true;
   }
-  set_heartbeat_enabled(false);
   telemetry::emit("progress_end", {{"beats", beats()}, {"stalls", stalls()}});
 }
 
 void ProgressMonitor::run() {
-  auto& board = ActivityBoard::instance();
   auto& reg = telemetry::Registry::global();
   const std::uint64_t t0 = monotonic_ns();
-  std::uint64_t prev_ticks = board.total_progress();
+  std::uint64_t prev_ticks = total_progress();
   std::uint64_t prev_ns = t0;
   std::uint64_t last_advance_ns = t0;
   bool stall_reported = false;
@@ -148,7 +121,7 @@ void ProgressMonitor::run() {
     lk.unlock();
 
     const std::uint64_t now = monotonic_ns();
-    const std::uint64_t ticks = board.total_progress();
+    const std::uint64_t ticks = total_progress();
     const double dt = static_cast<double>(now - prev_ns) * 1e-9;
     const std::uint64_t rate =
         dt > 0.0 ? static_cast<std::uint64_t>(
@@ -158,7 +131,7 @@ void ProgressMonitor::run() {
         beats_.fetch_add(1, std::memory_order_relaxed) + 1;
     const double elapsed = static_cast<double>(now - t0) * 1e-9;
     // Merged-registry tallies lag live workers until batch end, but give
-    // the long-horizon picture the board's raw ticks cannot.
+    // the long-horizon picture the slots' raw ticks cannot.
     const std::uint64_t decisions = reg.counter("search.decisions").value();
     const std::uint64_t backtracks = reg.counter("search.backtracks").value();
     const std::int64_t queue_hw = reg.gauge("engine.queue_depth").high_water();
@@ -169,21 +142,10 @@ void ProgressMonitor::run() {
                        compact(decisions) + " backtracks=" +
                        compact(backtracks) + " queue_hw=" +
                        std::to_string(queue_hw);
-    int active = 0;
-    for (int w = 0; w < ActivityBoard::kMaxWorkers; ++w) {
-      const WorkerActivity& s = board.slot(w);
-      const char* out = s.output.load(std::memory_order_relaxed);
-      if (out == nullptr) continue;
-      ++active;
-      const char* stage = s.stage.load(std::memory_order_relaxed);
-      const double in_check =
-          static_cast<double>(now -
-                              s.since_ns.load(std::memory_order_relaxed)) *
-          1e-9;
-      line += " | w" + std::to_string(w) + " " + out + " " +
-              (stage != nullptr ? stage : "-") + " d=" +
-              std::to_string(s.depth.load(std::memory_order_relaxed)) +
-              " " + fmt_s(in_check);
+    const std::vector<Busy> busy = busy_threads(now);
+    for (const Busy& b : busy) {
+      line += " | w" + std::to_string(b.w) + " " + b.what + " " + b.stage +
+              " d=" + std::to_string(b.depth) + " " + fmt_s(b.seconds);
     }
     *err_ << line << "\n" << std::flush;
     telemetry::emit("heartbeat", {{"n", beat},
@@ -193,14 +155,14 @@ void ProgressMonitor::run() {
                                   {"decisions", decisions},
                                   {"backtracks", backtracks},
                                   {"queue_hw", queue_hw},
-                                  {"active", active}});
+                                  {"active", busy.size()}});
 
-    // An all-idle board is not a stall: a long-lived daemon with no work in
+    // No busy thread is not a stall: a long-lived daemon with no work in
     // flight makes no progress by design, and a spurious stall here would
     // both cry wolf on stderr and burn the blackbox dump cooldown right
-    // before a real wedge. The stall window starts when a worker opens a
-    // check (the board slot goes active) and its ticks stop advancing.
-    if (ticks != prev_ticks || active == 0) {
+    // before a real wedge. The stall window starts when a thread opens a
+    // check (its slot goes busy) and the ticks stop advancing.
+    if (ticks != prev_ticks || busy.empty()) {
       last_advance_ns = now;
       stall_reported = false;
     } else if (!stall_reported &&
@@ -212,31 +174,18 @@ void ProgressMonitor::run() {
           static_cast<double>(now - last_advance_ns) * 1e-9;
       *err_ << "[waveck watchdog] no progress for " << fmt_s(stalled_s)
             << "; active checks:\n";
-      int dumped = 0;
-      for (int w = 0; w < ActivityBoard::kMaxWorkers; ++w) {
-        const WorkerActivity& s = board.slot(w);
-        const char* out = s.output.load(std::memory_order_relaxed);
-        if (out == nullptr) continue;
-        ++dumped;
-        const char* stage = s.stage.load(std::memory_order_relaxed);
-        const double in_check =
-            static_cast<double>(
-                now - s.since_ns.load(std::memory_order_relaxed)) *
-            1e-9;
-        *err_ << "  w" << w << ": " << out << " stage="
-              << (stage != nullptr ? stage : "-") << " depth="
-              << s.depth.load(std::memory_order_relaxed) << " chk#"
-              << s.chk.load(std::memory_order_relaxed) << " elapsed="
-              << fmt_s(in_check) << "\n";
+      for (const Busy& b : busy) {
+        *err_ << "  w" << b.w << ": " << b.what << " stage=" << b.stage
+              << " depth=" << b.depth << " chk#" << b.chk
+              << " elapsed=" << fmt_s(b.seconds) << "\n";
       }
-      if (dumped == 0) *err_ << "  (no check in flight)\n";
       *err_ << std::flush;
       telemetry::emit("watchdog_stall",
-                      {{"stalled_s", stalled_s}, {"active", dumped}});
+                      {{"stalled_s", stalled_s}, {"active", busy.size()}});
       // Post-mortem evidence: mark the stall in the rings, then flush them
       // to the blackbox (no-op unless --blackbox armed a directory).
       flight::record(flight::Kind::kMark, "watchdog_stall", 0,
-                     static_cast<std::int64_t>(dumped));
+                     static_cast<std::int64_t>(busy.size()));
       const std::string path = flight::dump_blackbox("watchdog_stall");
       if (!path.empty()) {
         *err_ << "[waveck watchdog] flight recorder dumped to " << path

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/flight_recorder.hpp"
 #include "common/telemetry.hpp"
 
 #ifdef __linux__
@@ -32,7 +33,6 @@ struct Record {
   const char* check;
   std::int32_t depth;
   std::int32_t first_app;  // first frame below the signal prologue
-  std::int32_t worker;
 };
 
 // Handler-visible state. The ring is preallocated by start(); the handler
@@ -79,9 +79,13 @@ extern "C" void waveck_sigprof_handler(int, siginfo_t*, void* context) {
           break;
         }
       }
-      r.stage = telemetry::stage_mark();
-      r.check = telemetry::check_mark();
-      r.worker = telemetry::worker_id();
+      // The thread's slot, if it has one: claiming one here would not be
+      // async-signal-safe, and a thread without a slot has no open check.
+      const flight::Slot* slot = flight::detail::t_slot;
+      r.stage = slot != nullptr
+                    ? slot->stage.load(std::memory_order_relaxed) : nullptr;
+      r.check = slot != nullptr
+                    ? slot->check.load(std::memory_order_relaxed) : nullptr;
     }
   }
   errno = saved_errno;

@@ -3,8 +3,8 @@
 // A SIGPROF handler driven by setitimer(ITIMER_PROF) captures a backtrace(3)
 // stack into a preallocated ring of fixed-size records — the handler does no
 // allocation, no locking, and no symbolization, only an atomic slot claim
-// plus reads of the thread-local telemetry marks (check output name and
-// pipeline stage, see telemetry::stage_mark). Because ITIMER_PROF counts
+// plus reads of the thread's flight::Slot (check output name and pipeline
+// stage, written by prof::CheckSpan/StageSpan). Because ITIMER_PROF counts
 // process CPU time, samples land on whichever thread is burning cycles, so
 // --jobs N workers are profiled together.
 //

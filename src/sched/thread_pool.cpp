@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/telemetry.hpp"
+#include "common/flight_recorder.hpp"
 
 namespace waveck::sched {
 
@@ -64,7 +64,8 @@ bool ThreadPool::try_run_one(std::size_t self) {
 }
 
 void ThreadPool::worker_main(std::size_t self) {
-  telemetry::set_worker_id(static_cast<int>(self) + 1);
+  flight::self().worker.store(static_cast<int>(self) + 1,
+                              std::memory_order_relaxed);
   for (;;) {
     {
       std::unique_lock lock(mu_);

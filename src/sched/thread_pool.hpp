@@ -13,9 +13,9 @@
 // every job of the batch has executed, and may be called repeatedly (the
 // exact-delay search reuses one pool across all probes). Worker threads
 // are started once in the constructor and parked on a condition variable
-// between batches. Each worker tags itself with telemetry::set_worker_id
-// (1-based; the calling thread keeps id 0), so JSONL trace events emitted
-// from inside jobs stay attributable.
+// between batches. Each worker writes its 1-based worker id into its
+// flight::Slot (the calling thread keeps id 0), so JSONL trace events,
+// flight records and heartbeat lines from inside jobs stay attributable.
 #pragma once
 
 #include <condition_variable>

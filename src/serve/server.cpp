@@ -600,13 +600,10 @@ void Server::run_batch(std::vector<Pending> batch) {
     return;
   }
   if (batch[0].req.op == Op::kLoad) {
-    if (prof::heartbeat_enabled()) {
-      prof::ActivityBoard::begin_check("load", -1);
-    }
+    flight::Slot& self = flight::self();
+    self.busy("load");
     handle_load(batch[0].conn, batch[0].req);
-    if (prof::heartbeat_enabled()) {
-      prof::ActivityBoard::end_check();
-    }
+    self.idle();
     return;
   }
   counter("serve.batches").inc();
@@ -777,13 +774,10 @@ void Server::run_stall(const Pending& p) {
   // tick, so the supervisor's watchdog has something real to detect.
   flight::record(flight::Kind::kMark, "debug_stall",
                  static_cast<std::int64_t>(p.req.stall_ms));
-  if (prof::heartbeat_enabled()) {
-    prof::ActivityBoard::begin_check("debug_stall", -1);
-  }
+  flight::Slot& self = flight::self();
+  self.busy("debug_stall");
   std::this_thread::sleep_for(std::chrono::milliseconds(p.req.stall_ms));
-  if (prof::heartbeat_enabled()) {
-    prof::ActivityBoard::end_check();
-  }
+  self.idle();
   ResponseWriter w = ok_response(p.req.id, Op::kDebugStall);
   w.field("stalled_ms", p.req.stall_ms);
   send(p.conn, std::move(w).done());

@@ -26,8 +26,9 @@
 //     `deadline_expired` without running; one that expires mid-run comes
 //     back conclusion "A" — the worker itself always survives.
 //   * Supervisor — with `heartbeat_s > 0` a prof::ProgressMonitor thread
-//     watches the ActivityBoard: periodic status lines to stderr plus a
-//     `watchdog_stall` snapshot when the worker stops making progress.
+//     watches the threads' flight-recorder slots: periodic status lines to
+//     stderr plus a `watchdog_stall` snapshot when the worker stops making
+//     progress.
 #pragma once
 
 #include <atomic>

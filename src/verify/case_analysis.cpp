@@ -8,7 +8,6 @@
 #include "analysis/head_lines.hpp"
 #include "common/flight_recorder.hpp"
 #include "common/telemetry.hpp"
-#include "prof/heartbeat.hpp"
 #include "prof/perf_counters.hpp"
 #include "sim/floating_sim.hpp"
 
@@ -509,6 +508,10 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
   auto& h_conflict_depth = reg.histogram("search.conflict_depth");
   auto& g_depth = reg.gauge("search.depth");
 
+  // This thread's slot: the open decision id every nested event carries,
+  // and the depth the heartbeat shows.
+  flight::Slot& slot = flight::self();
+
   CaseAnalysisOutcome out;
   const auto entry = cs.push_state();
   FanGuide guide(cs, check, scoap, opt, cache);
@@ -523,18 +526,18 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
   std::vector<Decision> stack;
   std::int64_t next_decision_id = 0;
 
-  // Decision spans: each decision opens a subtree in the trace (the sink
-  // stamps every nested event with span_context().dec) and is closed by
+  // Decision spans: each decision opens a subtree in the trace (every
+  // nested event is stamped with the slot's `dec`) and is closed by
   // exactly one `decision_close` — "exhausted" when both classes failed,
   // "witness"/"abandoned" for decisions still open when the search stops.
   // The offline analyzer relies on this bracketing being exact, in the
   // trace and in blackbox dumps alike.
-  const auto close_open_decisions = [&stack](flight::Word outcome) {
+  const auto close_open_decisions = [&stack, &slot](flight::Word outcome) {
     for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-      telemetry::span_context().dec = it->id;
+      slot.dec.store(it->id, std::memory_order_relaxed);
       flight::record(flight::Kind::kDecisionClose, {}, 0, 0, outcome);
     }
-    telemetry::span_context().dec = -1;
+    slot.dec.store(-1, std::memory_order_relaxed);
   };
 
   bool consistent = propagate(cs, check, opt.dominators_in_search, cache);
@@ -585,11 +588,12 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
         Decision& d = stack.back();
         if (d.flipped) {
           cs.pop_to(d.mark);
-          telemetry::span_context().dec = d.id;
+          slot.dec.store(d.id, std::memory_order_relaxed);
           flight::record(flight::Kind::kDecisionClose, {}, 0, 0,
                          flight::kExhausted);
           stack.pop_back();
-          telemetry::span_context().dec = stack.empty() ? -1 : stack.back().id;
+          slot.dec.store(stack.empty() ? -1 : stack.back().id,
+                         std::memory_order_relaxed);
           continue;
         }
         cs.pop_to(d.mark);
@@ -598,11 +602,9 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
         ++out.backtracks;
         ctr_backtracks.inc();
         g_depth.set(static_cast<std::int64_t>(stack.size()));
-        if (prof::heartbeat_enabled()) {
-          prof::ActivityBoard::set_depth(
-              static_cast<std::int64_t>(stack.size()));
-        }
-        telemetry::span_context().dec = d.id;
+        slot.depth.store(static_cast<std::int64_t>(stack.size()),
+                         std::memory_order_relaxed);
+        slot.dec.store(d.id, std::memory_order_relaxed);
         flight::record(flight::Kind::kBacktrack, cs.circuit().net(d.net).name,
                        0, static_cast<std::int64_t>(stack.size()),
                        d.cls ? 1 : 0);
@@ -646,15 +648,13 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
     ++out.decisions;
     ctr_decisions.inc();
     g_depth.set(static_cast<std::int64_t>(stack.size()));
-    if (prof::heartbeat_enabled()) {
-      prof::ActivityBoard::set_depth(
-          static_cast<std::int64_t>(stack.size()));
-    }
+    slot.depth.store(static_cast<std::int64_t>(stack.size()),
+                     std::memory_order_relaxed);
     // The decision's own id rides in the stamped "dec"; `parent` links it
     // into the tree (-1 = child of the search root).
     const std::int64_t parent =
         stack.size() > 1 ? stack[stack.size() - 2].id : -1;
-    telemetry::span_context().dec = d.id;
+    slot.dec.store(d.id, std::memory_order_relaxed);
     flight::record(flight::Kind::kDecision, cs.circuit().net(d.net).name,
                    parent, static_cast<std::int64_t>(stack.size()),
                    d.cls ? 1 : 0);

@@ -5,11 +5,14 @@
 #include "common/flight_recorder.hpp"
 
 #include <algorithm>
+#include <condition_variable>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <latch>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -26,6 +29,7 @@
 #include "gen/iscas_suite.hpp"
 #include "netlist/circuit.hpp"
 #include "prof/perf_counters.hpp"
+#include "prof/span.hpp"
 #include "verify/verifier.hpp"
 
 namespace waveck {
@@ -97,14 +101,18 @@ TEST(FlightRecorder, DumpMergesThreadsInChronologicalOrder) {
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 200;
+  // The threads stay alive together (a thread that exits returns its slot
+  // to the next one), so each records into a ring of its own.
+  std::latch all_done(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t] {
+    threads.emplace_back([t, &all_done] {
       for (int i = 0; i < kPerThread; ++i) {
         flight::record(flight::Kind::kMark,
                        "t" + std::to_string(t) + "_" + std::to_string(i));
       }
+      all_done.arrive_and_wait();
     });
   }
   for (auto& th : threads) th.join();
@@ -361,6 +369,75 @@ TEST(FlightRecorder, DisabledRecorderRecordsNothing) {
   flight::set_enabled(true);
   flight::record(flight::Kind::kMark, "appears");
   EXPECT_GE(flight::stats().records, 1u);
+}
+
+TEST(FlightRecorder, ShortLivedThreadsRecycleTheirSlots) {
+  // Three tables' worth of threads, one after another: each returns its
+  // slot when it exits, so the last one still records, and the table never
+  // grows past its 64 slots.
+  RecorderGuard guard;
+  flight::set_enabled(true);
+  constexpr int kThreads = 3 * 64;
+  for (int t = 0; t < kThreads; ++t) {
+    std::thread([t] {
+      flight::record(flight::Kind::kMark, "thread_" + std::to_string(t));
+    }).join();
+  }
+  EXPECT_LE(flight::stats().rings, 64);
+  std::stringstream ss;
+  flight::dump(ss, "recycle_test");
+  const std::string last =
+      "\"name\":\"thread_" + std::to_string(kThreads - 1) + "\"";
+  EXPECT_NE(ss.str().find(last), std::string::npos) << ss.str().substr(0, 400);
+}
+
+TEST(FlightRecorder, DumpNamesTheCheckStillRunning) {
+  // A check that outlives its ring has lost its check_begin, and a dump
+  // written while it runs has no check_end to take the output from: the
+  // synthesized check_begin names it from the running thread's slot.
+  RecorderGuard guard;
+  flight::reset_for_test();
+  flight::set_enabled(true);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool recorded = false, dumped = false;
+  std::thread runner([&] {
+    const std::string output = "p31";
+    prof::CheckSpan span(output, 500);
+    for (std::size_t i = 0; i < flight::Ring::kCapacity + 100; ++i) {
+      flight::record(flight::Kind::kConflict, {}, 0, 1);
+    }
+    std::unique_lock lock(mu);
+    recorded = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return dumped; });
+    (void)span.close('A', {});
+  });
+  std::stringstream ss;
+  {
+    std::unique_lock lock(mu);
+    cv.wait(lock, [&] { return recorded; });
+    flight::dump(ss, "still_running");
+    dumped = true;
+    cv.notify_all();
+  }
+  runner.join();
+
+  // The check is the one its surviving conflicts belong to.
+  explain::TraceReader reader(ss);
+  explain::TraceEvent ev, begin;
+  std::int64_t chk = -1;
+  while (reader.next(ev)) {
+    if (ev.ev == "check_begin") begin = ev;
+    if (ev.ev == "conflict") {
+      chk = ev.chk;
+      break;
+    }
+  }
+  ASSERT_GE(chk, 0) << ss.str().substr(0, 400);
+  EXPECT_EQ(begin.chk, chk);
+  EXPECT_EQ(begin.str("output"), "p31");
+  EXPECT_EQ(begin.num("delta"), 500);
 }
 
 TEST(FlightRecorder, BlackboxCooldownRateLimitsPerReason) {

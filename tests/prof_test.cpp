@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <chrono>
 #include <ctime>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "../bench/harness.hpp"
+#include "common/flight_recorder.hpp"
 #include "common/telemetry.hpp"
 #include "gen/generators.hpp"
 #include "gen/iscas_suite.hpp"
@@ -320,8 +322,9 @@ TEST(Profiler, SmokeCapturesAnnotatedStacks) {
   std::string err;
   ASSERT_TRUE(p.start({.hz = 997, .max_samples = 1u << 14}, &err)) << err;
 
-  telemetry::set_check_mark("smoke");
-  telemetry::set_stage_mark("narrowing");
+  flight::Slot& slot = flight::self();
+  slot.busy("smoke");
+  slot.stage.store("narrowing");
   // Burn ~0.6s of CPU: ITIMER_PROF fires on CPU time and the kernel caps
   // delivery at its tick rate (often 250Hz), so this yields >= ~100
   // samples on any machine.
@@ -330,8 +333,7 @@ TEST(Profiler, SmokeCapturesAnnotatedStacks) {
   while (std::clock() - t0 < static_cast<std::clock_t>(0.6 * CLOCKS_PER_SEC)) {
     for (int i = 0; i < 10000; ++i) acc = acc * 1.0000001 + 0.5;
   }
-  telemetry::set_stage_mark(nullptr);
-  telemetry::set_check_mark(nullptr);
+  slot.idle();
 
   const prof::ProfileReport rep = p.stop();
   ASSERT_FALSE(p.running());
@@ -425,20 +427,23 @@ TEST(Heartbeat, BeatsWatchdogAndBalancedEvents) {
   {
     prof::ProgressMonitor monitor({.interval_s = 0.05, .stall_s = 0.15},
                                   err);
-    EXPECT_TRUE(prof::heartbeat_enabled());
-    // Phase 1: live progress under a named check.
-    prof::ActivityBoard::begin_check("out1", 7);
-    prof::ActivityBoard::set_stage("case_analysis");
-    prof::ActivityBoard::set_depth(3);
+    // Phase 1: live progress under a named check, written to this
+    // thread's slot as CheckSpan, StageSpan and the search would.
+    flight::Slot& slot = flight::self();
+    slot.busy("out1", 40);
+    slot.chk.store(7);
+    slot.stage.store("case_analysis");
+    slot.depth.store(3);
     for (int i = 0; i < 4; ++i) {
-      prof::ActivityBoard::tick(10);
+      slot.tick(10);
       std::this_thread::sleep_for(std::chrono::milliseconds(60));
     }
     // Phase 2: go silent long enough to trip the watchdog.
     std::this_thread::sleep_for(std::chrono::milliseconds(400));
     EXPECT_GE(monitor.beats(), 3u);
     EXPECT_GE(monitor.stalls(), 1u);
-    prof::ActivityBoard::end_check();
+    slot.idle();
+    slot.chk.store(-1);
     monitor.stop();
 
     const std::string log = err.str();
@@ -446,6 +451,8 @@ TEST(Heartbeat, BeatsWatchdogAndBalancedEvents) {
     EXPECT_NE(log.find("gate_evals="), std::string::npos);
     EXPECT_NE(log.find("out1"), std::string::npos);
     EXPECT_NE(log.find("case_analysis"), std::string::npos);
+    EXPECT_NE(log.find("d=3"), std::string::npos);
+    EXPECT_NE(log.find("chk#7"), std::string::npos);
     EXPECT_NE(log.find("[waveck watchdog] no progress"), std::string::npos);
 
     EXPECT_EQ(sink.count("progress_begin"), 1u);
@@ -456,19 +463,60 @@ TEST(Heartbeat, BeatsWatchdogAndBalancedEvents) {
     monitor.stop();
     EXPECT_EQ(sink.count("progress_end"), 1u);
   }
-  EXPECT_FALSE(prof::heartbeat_enabled());
   telemetry::set_trace_sink(nullptr);
 }
 
-TEST(Heartbeat, DisabledBoardWritesAreCheap) {
-  // Without a monitor the enabled flag is down and producers skip the
-  // board entirely; poke the flag-guarded statics directly to make sure
-  // they stay safe to call either way.
-  EXPECT_FALSE(prof::heartbeat_enabled());
-  prof::ActivityBoard::tick(5);
-  prof::ActivityBoard::set_depth(1);
-  prof::ActivityBoard::end_check();
-  SUCCEED();
+TEST(Heartbeat, RecycledSlotsKeepProgressAndRingHead) {
+  // No monitor runs: producers write their slot anyway. A thread returns
+  // its slot when it exits; the thread that claims it next starts idle but
+  // keeps its ring head and its progress tick, so the dump's ring cursors
+  // and the watchdog's sum of ticks never go back.
+  const auto sum = [] {
+    std::uint64_t total = 0;
+    for (const flight::Slot& s : flight::slots()) total += s.progress.load();
+    return total;
+  };
+  struct Use {
+    const flight::Slot* slot = nullptr;
+    std::uint64_t progress0 = 0, head0 = 0, progress1 = 0, head1 = 0;
+  };
+  std::vector<Use> uses;
+  for (int t = 0; t < 2 * 64; ++t) {
+    const std::uint64_t before = sum();
+    Use u;
+    std::thread([&u] {
+      flight::Slot& slot = flight::self();
+      u.slot = &slot;
+      u.progress0 = slot.progress.load();
+      u.head0 = slot.ring.head();
+      EXPECT_EQ(slot.check.load(), nullptr);
+      EXPECT_EQ(slot.chk.load(), -1);
+      EXPECT_EQ(slot.depth.load(), 0);
+      EXPECT_EQ(slot.worker.load(), 0);
+      slot.worker.store(9);
+      slot.busy("x");
+      slot.depth.store(1);
+      slot.tick(5);
+      flight::record(flight::Kind::kMark, "recycled");
+      slot.idle();
+      u.progress1 = slot.progress.load();
+      u.head1 = slot.ring.head();
+    }).join();
+    EXPECT_FALSE(u.slot->live.load());
+    EXPECT_EQ(sum(), before + 5);
+    uses.push_back(u);
+  }
+  std::map<const flight::Slot*, Use> last;
+  std::size_t reused = 0;
+  for (const Use& u : uses) {
+    if (const auto it = last.find(u.slot); it != last.end()) {
+      ++reused;
+      EXPECT_EQ(u.progress0, it->second.progress1);
+      EXPECT_EQ(u.head0, it->second.head1);
+    }
+    last[u.slot] = u;
+  }
+  EXPECT_GT(reused, 0u);
 }
 
 }  // namespace

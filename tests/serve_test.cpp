@@ -14,12 +14,14 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 
 #include <gtest/gtest.h>
 
+#include "common/flight_recorder.hpp"
 #include "explain/trace_reader.hpp"
 #include "gen/generators.hpp"
 #include "netlist/bench_io.hpp"
@@ -456,6 +458,41 @@ TEST(ServeProtocol, WatchdogReportsStalledWorker) {
       << err;
   EXPECT_NE(err.find("waveck-serve: exiting {\"requests\":"), std::string::npos)
       << err;
+}
+
+TEST(ServeProtocol, RecorderOutlivesManyResidentPools) {
+  // Every resident brings its own pool threads (jobs = 2), and unloading it
+  // ends them. Past 32 load/check/unload cycles more threads have come and
+  // gone than the recorder's 64-slot table holds; the last cycle's checks
+  // must still be in the rings.
+  const std::string path = write_temp_bench(gen::c17(), "cycles");
+  serve::ServeOptions opt;
+  opt.jobs = 2;
+  TestServer ts(std::move(opt));
+  serve::Client c = ts.client();
+  constexpr int kCycles = 40;
+  for (int i = 0; i < kCycles; ++i) {
+    const std::string name = "s" + std::to_string(i);
+    if (i == kCycles - 1) flight::record(flight::Kind::kMark, "last_cycle");
+    auto r = c.round_trip(R"({"op":"load","name":")" + name +
+                          R"(","file":")" + path + R"("})");
+    ASSERT_TRUE(r.has_value());
+    ASSERT_TRUE(ok_of(parse(*r))) << *r;
+    r = c.round_trip(R"({"op":"check","circuit":")" + name +
+                     R"(","delta":30})");
+    ASSERT_TRUE(r.has_value());
+    ASSERT_TRUE(line_ok(*r)) << *r;
+    r = c.round_trip(R"({"op":"unload","name":")" + name + R"("})");
+    ASSERT_TRUE(r.has_value());
+    ASSERT_TRUE(ok_of(parse(*r))) << *r;
+  }
+  std::stringstream ss;
+  flight::dump(ss, "cycles");
+  const std::string dump = ss.str();
+  const std::size_t mark = dump.find("\"name\":\"last_cycle\"");
+  ASSERT_NE(mark, std::string::npos);
+  EXPECT_NE(dump.find("\"ev\":\"check_begin\"", mark), std::string::npos)
+      << dump.substr(mark, 400);
 }
 
 TEST(ServeProtocol, LiveSocketIsNotStolenByASecondServer) {

@@ -6,7 +6,9 @@
 #include <sstream>
 #include <string>
 
+#include "common/flight_recorder.hpp"
 #include "gen/generators.hpp"
+#include "prof/span.hpp"
 #include "verify/verifier.hpp"
 
 namespace waveck {
@@ -344,22 +346,25 @@ TEST(JsonlTraceSink, StampsOpenSpanIds) {
 
   telemetry::emit("outside", {});  // no open span: no chk/dec keys
   {
-    telemetry::ScopedCheckSpan span;
+    const std::string output = "out";
+    prof::CheckSpan span(output, 7);  // writes its own check_begin line
     EXPECT_GT(span.id(), 0);
-    EXPECT_EQ(telemetry::span_context().chk, span.id());
-    EXPECT_EQ(telemetry::span_context().dec, -1);
+    flight::Slot& slot = flight::self();
+    EXPECT_EQ(slot.chk.load(), span.id());
+    EXPECT_EQ(slot.dec.load(), -1);
     telemetry::emit("in_check", {});
-    telemetry::span_context().dec = 5;
+    slot.dec.store(5);
     telemetry::emit("in_decision", {{"x", 1}});
-    telemetry::span_context().dec = -1;
+    slot.dec.store(-1);
   }
-  EXPECT_EQ(telemetry::span_context().chk, -1);
+  EXPECT_EQ(flight::self().chk.load(), -1);
   telemetry::emit("after", {});
   telemetry::set_trace_sink(nullptr);
 
   std::istringstream in(os.str());
-  std::string outside, in_check, in_decision, after;
+  std::string outside, check_begin, in_check, in_decision, after;
   std::getline(in, outside);
+  std::getline(in, check_begin);
   std::getline(in, in_check);
   std::getline(in, in_decision);
   std::getline(in, after);
@@ -370,23 +375,32 @@ TEST(JsonlTraceSink, StampsOpenSpanIds) {
   EXPECT_EQ(after.find("\"chk\":"), std::string::npos) << after;
 }
 
-TEST(ScopedCheckSpan, NestsAndRestores) {
-  const telemetry::SpanContext before = telemetry::span_context();
+TEST(CheckSpan, NestsAndRestores) {
+  flight::Slot& slot = flight::self();
+  const std::int64_t chk0 = slot.chk.load();
+  const std::int64_t dec0 = slot.dec.load();
+  const std::string a = "a", b = "b";
   {
-    telemetry::ScopedCheckSpan outer;
-    telemetry::span_context().dec = 3;
+    prof::CheckSpan outer(a, 10);
+    EXPECT_EQ(std::string(slot.check.load()), "a");
+    slot.dec.store(3);
     {
-      telemetry::ScopedCheckSpan inner;
+      prof::CheckSpan inner(b, 20);
       EXPECT_GT(inner.id(), outer.id());
-      EXPECT_EQ(telemetry::span_context().chk, inner.id());
-      EXPECT_EQ(telemetry::span_context().dec, -1);
+      EXPECT_EQ(slot.chk.load(), inner.id());
+      EXPECT_EQ(slot.dec.load(), -1);
+      EXPECT_EQ(std::string(slot.check.load()), "b");
+      EXPECT_EQ(slot.delta.load(), 20);
+      (void)inner.close('N', {});
+      EXPECT_EQ(slot.check.load(), nullptr);  // closed: the thread is idle
     }
-    EXPECT_EQ(telemetry::span_context().chk, outer.id());
-    EXPECT_EQ(telemetry::span_context().dec, 3);
-    telemetry::span_context().dec = -1;
+    EXPECT_EQ(slot.chk.load(), outer.id());
+    EXPECT_EQ(slot.dec.load(), 3);
+    slot.dec.store(-1);
   }
-  EXPECT_EQ(telemetry::span_context().chk, before.chk);
-  EXPECT_EQ(telemetry::span_context().dec, before.dec);
+  EXPECT_EQ(slot.chk.load(), chk0);
+  EXPECT_EQ(slot.dec.load(), dec0);
+  EXPECT_EQ(slot.check.load(), nullptr);
 }
 
 /// Counts events by name; used for trace/report parity checks.

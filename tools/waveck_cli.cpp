@@ -97,6 +97,8 @@ int usage() {
       "gen NAMEs: c17, c432..c7552, hrapcenko, csa16, csel16, ks16, mul8, "
       "wallace8\n"
       "FILE may be ISCAS `.bench` or structural Verilog `.v`.\n"
+      "check exit codes: 0 no violation (N), 1 violation (V), 2 usage or\n"
+      "input error, 3 abandoned at the budget or --timeout-ms (A)\n"
       "global flags (any command):\n"
       "  --jobs N              worker threads for suite verification and the\n"
       "                        exact-delay search (0 = one per hardware\n"
@@ -151,6 +153,17 @@ int cmd_sta(const Circuit& c) {
   return 0;
 }
 
+/// `check`'s exit code: 1 for a violation (V), 3 for a check abandoned at
+/// its budget or deadline (A), 0 when none is possible (N, or P with case
+/// analysis off); 2 is left to usage and input errors.
+int check_exit_code(CheckConclusion c) {
+  switch (c) {
+    case CheckConclusion::kViolation: return 1;
+    case CheckConclusion::kAbandoned: return 3;
+    default: return 0;
+  }
+}
+
 int cmd_check(const Circuit& c, const std::string& delta_str,
               const std::string& out_name, bool json, bool canon,
               std::uint64_t timeout_ms) {
@@ -158,7 +171,7 @@ int cmd_check(const Circuit& c, const std::string& delta_str,
   c.check_time_range(d);
   const Time delta(d);
   // --timeout-ms N: absolute deadline on the monotonic clock; checks that
-  // outlive it conclude kAbandoned (exit code 0: no violation *proven*).
+  // outlive it conclude kAbandoned (exit code 3: nothing proven).
   const std::uint64_t deadline =
       timeout_ms == 0 ? 0
                       : prof::monotonic_ns() + timeout_ms * 1'000'000ull;
@@ -173,7 +186,7 @@ int cmd_check(const Circuit& c, const std::string& delta_str,
     const auto rep = v.check_output(*net, delta);
     if (json) {
       std::cout << (canon ? canonical_json(c, rep) : to_json(c, rep)) << "\n";
-      return rep.conclusion == CheckConclusion::kViolation ? 1 : 0;
+      return check_exit_code(rep.conclusion);
     }
     std::cout << "check (" << out_name << ", " << delta
               << "): " << to_string(rep.conclusion) << "  [stages "
@@ -184,7 +197,7 @@ int cmd_check(const Circuit& c, const std::string& delta_str,
     if (rep.vector) {
       std::cout << "vector: " << format_vector(*rep.vector) << "\n";
     }
-    return rep.conclusion == CheckConclusion::kViolation ? 1 : 0;
+    return check_exit_code(rep.conclusion);
   }
   sched::CheckScheduler s(v, {.jobs = g_jobs});
   s.token().arm_deadline(deadline);
@@ -193,7 +206,7 @@ int cmd_check(const Circuit& c, const std::string& delta_str,
     std::cout << (canon ? canonical_json(c, rep)
                         : to_json(c, rep, /*include_metrics=*/true))
               << "\n";
-    return rep.conclusion == CheckConclusion::kViolation ? 1 : 0;
+    return check_exit_code(rep.conclusion);
   }
   std::cout << "check (all outputs, " << delta
             << "): " << to_string(rep.conclusion) << "  [" << rep.backtracks
@@ -203,7 +216,7 @@ int cmd_check(const Circuit& c, const std::string& delta_str,
     std::cout << "vector: " << format_vector(*rep.vector) << " (output "
               << c.net(*rep.violating_output).name << ")\n";
   }
-  return rep.conclusion == CheckConclusion::kViolation ? 1 : 0;
+  return check_exit_code(rep.conclusion);
 }
 
 int cmd_delay(const Circuit& c) {

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
       return rep.conclusion == CheckConclusion::kNoViolation;
     };
 
-    const auto t0 = std::chrono::steady_clock::now();
+    const telemetry::StopWatch watch;
     const bool n0 = closes(false, false, false);
     const bool n1 = n0 || closes(true, false, false);
     const bool n2 = n1 || closes(true, true, false);
@@ -62,9 +62,7 @@ int main(int argc, char** argv) {
                ? "N(" + std::to_string(rep.backtracks) + ")"
                : std::string(to_string(rep.conclusion));
     }
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    const double secs = watch.seconds();
     auto yn = [](bool b) { return b ? std::string("N") : std::string("P"); };
     print_row({entry.name + (exact.exact ? "" : "(U)"), yn(n0), yn(n1),
                yn(n2), yn(n3), ca, fmt_secs(secs)},

@@ -38,7 +38,7 @@ int main() {
     arch.circuit.set_uniform_delay(DelaySpec::fixed(10));
     const Circuit& c = arch.circuit;
     Verifier v(c);
-    const auto t0 = std::chrono::steady_clock::now();
+    const telemetry::StopWatch watch;
     const auto exact = v.exact_floating_delay();
 
     // Which stage proves delta = exact + 1?
@@ -63,9 +63,7 @@ int main() {
         stage = "case analysis";
       }
     }
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    const double secs = watch.seconds();
     const double gap =
         exact.topological.is_finite() && exact.topological.value() > 0
             ? 100.0 *

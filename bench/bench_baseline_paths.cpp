@@ -39,19 +39,15 @@ int main(int argc, char** argv) {
     opt.case_analysis.max_backtracks = entry.max_backtracks;
     opt.max_stems = 512;
     Verifier v(c, opt);
-    const auto t0 = std::chrono::steady_clock::now();
+    const telemetry::StopWatch watch;
     const auto exact = v.exact_floating_delay();
-    const double wn_secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    const double wn_secs = watch.seconds();
 
     PathEnumOptions pe;
     pe.max_paths = 50000;
-    const auto t1 = std::chrono::steady_clock::now();
+    const telemetry::StopWatch pe_watch;
     const auto base = path_enum_delay(c, pe);
-    const double pe_secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t1)
-            .count();
+    const double pe_secs = pe_watch.seconds();
 
     std::string notes;
     if (base.budget_exhausted) notes = "path budget blown";

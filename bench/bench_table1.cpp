@@ -11,7 +11,6 @@
 // Absolute top/delta values differ from the paper (generated analogue
 // netlists; see DESIGN.md); the reproduced signal is the *stage profile*:
 // which machinery closes each circuit and that vectors need few backtracks.
-#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
@@ -29,7 +28,6 @@ int main(int argc, char** argv) {
   bool quick = false;
   bool json = false;
   std::size_t jobs = 0;    // 0 = serial only, no parallel pass
-  std::size_t repeat = 1;  // timed serial runs per row (--repeat)
   std::string upto;        // stop after the first entry matching this prefix
   std::string json_path;    // --json FILE; default depends on --quick
   std::string trace_path;  // --trace: JSONL capture of one extra run per row
@@ -51,16 +49,13 @@ int main(int argc, char** argv) {
       jobs = sched::ThreadPool::hardware_workers();
       if (i + 1 < argc && argv[i + 1][0] != '-') jobs = std::stoull(argv[++i]);
       if (jobs == 0) jobs = sched::ThreadPool::hardware_workers();
-    } else if (arg == "--repeat" && i + 1 < argc) {
-      repeat = std::stoull(argv[++i]);
-      if (repeat == 0) repeat = 1;
     } else if (arg == "--upto" && i + 1 < argc) {
       upto = argv[++i];
     } else if (arg == "--trace" && i + 1 < argc) {
       trace_path = argv[++i];
     } else {
       std::cerr << "usage: bench_table1 [--quick] [--json [FILE]] "
-                   "[--jobs [N]] [--repeat N] [--upto NAME] "
+                   "[--jobs [N]] [--upto NAME] "
                    "[--trace FILE.jsonl] [--counters] "
                    "[--append-history [FILE]]\n";
       return 2;
@@ -103,23 +98,6 @@ int main(int argc, char** argv) {
     const auto exact = v.exact_floating_delay();
     const std::string kind = exact.exact ? "E" : "U";
 
-    // With --repeat N each row is checked once unrecorded (warmup) and then
-    // N recorded times: `seconds` is the last run, `seconds_min` the
-    // minimum -- the robust statistic on noisy CI machines. Results are
-    // deterministic, so repeats change timing only.
-    double min_above = -1.0;
-    double min_at = -1.0;
-    const auto timed_check = [&](Time delta, double& min_s) {
-      if (repeat > 1) (void)v.check_circuit(delta);  // warmup
-      SuiteReport rep = v.check_circuit(delta);
-      min_s = repeat > 1 ? rep.seconds : -1.0;
-      for (std::size_t r = 1; r < repeat; ++r) {
-        rep = v.check_circuit(delta);
-        min_s = std::min(min_s, rep.seconds);
-      }
-      return rep;
-    };
-
     const auto traced_check = [&](Time delta) -> std::int64_t {
       if (!trace_sink) return -1;
       const std::uint64_t before = trace_sink->events_written();
@@ -132,16 +110,14 @@ int main(int argc, char** argv) {
     // Row 1: delta_E + 1 (the proof row; printed second in the paper's
     // order, which lists the just-failing delta first for some circuits --
     // we keep proof-then-witness order).
-    const auto above = timed_check(exact.delay + 1, min_above);
+    const auto above = v.check_circuit(exact.delay + 1);
     auto row_above = row_from_suite(entry.name, top, exact.delay + 1, "",
                                     above);
-    row_above.seconds_min = min_above;
     row_above.trace_lines = traced_check(exact.delay + 1);
 
     // Row 2: delta_E (witness row).
-    const auto at = timed_check(exact.delay, min_at);
+    const auto at = v.check_circuit(exact.delay);
     auto row_at = row_from_suite(entry.name, top, exact.delay, kind, at);
-    row_at.seconds_min = min_at;
     row_at.trace_lines = traced_check(exact.delay);
 
     if (jobs > 0) {
@@ -196,6 +172,6 @@ int main(int argc, char** argv) {
     write_table1_json(json_path, rows, jobs);
     std::cout << "wrote " << json_path << "\n";
   }
-  if (history) append_history(history_path, rows, quick, repeat);
+  if (history) append_history(history_path, rows, quick);
   return matched ? 0 : 1;
 }

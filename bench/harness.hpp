@@ -3,7 +3,6 @@
 #pragma once
 
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <ctime>
 #include <fstream>
@@ -12,11 +11,10 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/telemetry.hpp"
-#include "prof/perf_counters.hpp"
+#include "verify/report_io.hpp"
 #include "verify/verifier.hpp"
 
 namespace waveck::bench {
@@ -51,12 +49,9 @@ struct Table1Row {
   std::string result;      // V / N / A
   double seconds = 0.0;
   std::size_t backtracks_n = 0;  // numeric form for JSON output
-  StageSeconds stage_seconds;
   /// Wall-clock of the same suite check re-run through the parallel
   /// CheckScheduler (bench_table1 --jobs); < 0 = parallel pass not run.
   double seconds_parallel = -1.0;
-  /// Min-of-N wall-clock (bench_table1 --repeat N); < 0 = single run only.
-  double seconds_min = -1.0;
   /// Violating input vector "bits@output" when the row finds one ("" = no
   /// witness). Part of the CI bench-regression key: the *same* vector must
   /// keep reproducing, not just some vector.
@@ -65,8 +60,8 @@ struct Table1Row {
   /// --trace); < 0 = tracing off. Never set on the timed runs, so wall
   /// clocks stay comparable with untraced benches.
   std::int64_t trace_lines = -1;
-  /// Per-stage hardware counters (bench_table1 --counters); empty (no
-  /// sections) when counters were off for the timed run.
+  /// Per-stage wall time, plus hardware counters under bench_table1
+  /// --counters.
   StagePerf stage_perf;
 };
 
@@ -101,7 +96,6 @@ inline Table1Row row_from_suite(const std::string& name, Time top,
   r.after_stem = rep.after_stem;
   r.seconds = rep.seconds;
   r.backtracks_n = rep.backtracks;
-  r.stage_seconds = rep.stage_seconds;
   r.stage_perf = rep.stage_perf;
   if (rep.vector) {
     r.witness = format_vector(*rep.vector);
@@ -130,52 +124,8 @@ inline Table1Row row_from_suite(const std::string& name, Time top,
   return r;
 }
 
-/// One stage's scaled counters as a JSON object body. Mirrors
-/// report_io.cpp's per-check "perf" stages: wall_ns always, hardware
-/// events only when the group actually read (hw).
-inline void write_counter_totals_json(std::ostream& os,
-                                      const prof::CounterTotals& t,
-                                      bool hw) {
-  // JSON has no nan/inf literal: a rate must never reach the stream
-  // non-finite (the accessors guard zero denominators, but belt-and-braces
-  // here keeps machine parsers safe whatever the counters did).
-  const auto finite = [](double v) { return std::isfinite(v) ? v : 0.0; };
-  os << "{\"wall_ns\":" << t.wall_ns;
-  if (hw) {
-    os << ",\"cycles\":" << t.cycles
-       << ",\"instructions\":" << t.instructions
-       << ",\"ipc\":" << finite(t.ipc())
-       << ",\"cache_references\":" << t.cache_references
-       << ",\"cache_misses\":" << t.cache_misses
-       << ",\"cache_miss_rate\":" << finite(t.cache_miss_rate())
-       << ",\"branch_misses\":" << t.branch_misses;
-  }
-  os << "}";
-}
-
-inline void write_stage_perf_json(std::ostream& os, const StagePerf& p) {
-  const bool hw = p.total().hw_valid;
-  os << ",\"perf\":{\"counters\":\""
-     << (hw ? "available" : "unavailable") << "\"";
-  if (!hw) {
-    os << ",\"reason\":\"" << telemetry::json_escape(prof::unavailable_reason())
-       << "\"";
-  }
-  const std::pair<const char*, const prof::CounterTotals*> stages[] = {
-      {"narrowing", &p.narrowing},
-      {"gitd", &p.gitd},
-      {"stem", &p.stem},
-      {"case_analysis", &p.case_analysis}};
-  for (const auto& [name, totals] : stages) {
-    if (!totals->any()) continue;
-    os << ",\"" << name << "\":";
-    write_counter_totals_json(os, *totals, hw);
-  }
-  os << "}";
-}
-
 /// Writes the collected rows as one JSON document (BENCH_table1.json): each
-/// row carries the Table 1 columns plus the per-stage wall-clock breakdown.
+/// row carries the Table 1 columns plus report_io's per-stage cost members.
 /// `jobs` > 0 records the worker count of the parallel pass; rows then also
 /// carry "seconds_parallel" (serial-vs-parallel comparison).
 inline void write_table1_json(const std::string& path,
@@ -206,16 +156,9 @@ inline void write_table1_json(const std::string& path,
     if (r.seconds_parallel >= 0) {
       os << ",\"seconds_parallel\":" << r.seconds_parallel;
     }
-    if (r.seconds_min >= 0) os << ",\"seconds_min\":" << r.seconds_min;
     if (r.trace_lines >= 0) os << ",\"trace_lines\":" << r.trace_lines;
     os << ",\"witness\":\"" << esc(r.witness) << "\"";
-    os << ",\"stage_seconds\":{"
-       << "\"narrowing\":" << r.stage_seconds.narrowing
-       << ",\"gitd\":" << r.stage_seconds.gitd
-       << ",\"stem\":" << r.stage_seconds.stem
-       << ",\"case_analysis\":" << r.stage_seconds.case_analysis << "}";
-    if (r.stage_perf.any()) write_stage_perf_json(os, r.stage_perf);
-    os << "}";
+    os << "," << stage_costs_json(r.stage_perf) << "}";
   }
   os << "]}\n";
 }
@@ -224,8 +167,7 @@ inline void write_table1_json(const std::string& path,
 /// total-seconds delta against the previous entry (trend at a glance; the
 /// committed file accumulates one line per recorded run).
 inline void append_history(const std::string& path,
-                           const std::vector<Table1Row>& rows, bool quick,
-                           std::size_t repeat) {
+                           const std::vector<Table1Row>& rows, bool quick) {
   // Previous entry's total_seconds, scraped from the last non-empty line.
   double prev_total = -1.0;
   {
@@ -244,7 +186,7 @@ inline void append_history(const std::string& path,
   std::size_t total_backtracks = 0;
   StagePerf perf;
   for (const auto& r : rows) {
-    total_seconds += r.seconds_min >= 0 ? r.seconds_min : r.seconds;
+    total_seconds += r.seconds;
     total_backtracks += r.backtracks_n;
     perf.add(r.stage_perf);
   }
@@ -260,11 +202,10 @@ inline void append_history(const std::string& path,
   std::ofstream os(path, std::ios::app);
   if (!os) throw std::runtime_error("cannot open " + path);
   os << "{\"bench\":\"table1\",\"ts\":\"" << ts << "\",\"quick\":"
-     << (quick ? "true" : "false") << ",\"repeat\":" << repeat
-     << ",\"rows\":" << rows.size()
+     << (quick ? "true" : "false") << ",\"rows\":" << rows.size()
      << ",\"total_seconds\":" << total_seconds
      << ",\"total_backtracks\":" << total_backtracks;
-  if (perf.any()) write_stage_perf_json(os, perf);
+  os << "," << stage_costs_json(perf);
   os << ",\"rows_summary\":[";
   bool first = true;
   for (const auto& r : rows) {
@@ -273,8 +214,7 @@ inline void append_history(const std::string& path,
     os << "{\"circuit\":\"" << telemetry::json_escape(r.circuit)
        << "\",\"delta\":\"" << telemetry::json_escape(r.delta.str())
        << "\",\"result\":\"" << telemetry::json_escape(r.result)
-       << "\",\"seconds\":"
-       << (r.seconds_min >= 0 ? r.seconds_min : r.seconds) << "}";
+       << "\",\"seconds\":" << r.seconds << "}";
   }
   os << "]}\n";
 

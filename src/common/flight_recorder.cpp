@@ -2,7 +2,6 @@
 
 #include <fcntl.h>
 #include <signal.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -80,13 +79,6 @@ std::span<Slot> used_slots() {
   return {g_table.load(std::memory_order_acquire),
           static_cast<std::size_t>(n)};
 }
-
-std::uint64_t now_ns() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ULL +
-         static_cast<std::uint64_t>(ts.tv_nsec);
-}
 }  // namespace
 
 Slot& claim_slot() {
@@ -125,7 +117,7 @@ Slot& claim_slot() {
 }  // namespace detail
 
 void Slot::busy(const char* what, std::int64_t d) {
-  since_ns.store(detail::now_ns(), std::memory_order_relaxed);
+  since_ns.store(telemetry::monotonic_ns(), std::memory_order_relaxed);
   stage.store(nullptr, std::memory_order_relaxed);
   depth.store(0, std::memory_order_relaxed);
   delta.store(d, std::memory_order_release);
@@ -443,7 +435,7 @@ void detail::record(Kind kind, std::string_view name, std::int64_t a,
                     std::string_view vector) {
   Slot& slot = self();
   Record rec{};
-  rec.t_ns = detail::now_ns();
+  rec.t_ns = telemetry::monotonic_ns();
   rec.chk = slot.chk.load(std::memory_order_relaxed);
   rec.dec = slot.dec.load(std::memory_order_relaxed);
   rec.a = a;
@@ -852,7 +844,7 @@ std::string dump_blackbox(const char* reason, std::uint64_t cooldown_ns) {
   {
     std::lock_guard<std::mutex> lock(g_bb_mu);
     if (g_bb_dir.empty()) return "";
-    const std::uint64_t now = detail::now_ns();
+    const std::uint64_t now = telemetry::monotonic_ns();
     ReasonGate* gate = nullptr;
     for (ReasonGate& g : gates()) {
       if (g.reason == reason) {

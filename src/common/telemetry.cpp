@@ -69,7 +69,8 @@ StageTimer& Registry::timer(std::string_view name) {
   return lookup(mu_, timers_, name);
 }
 
-double TimeHistogram::quantile_us(double q) const {
+template <class Ladder>
+double BasicHistogram<Ladder>::quantile(double q) const {
   std::array<std::uint64_t, kBuckets> b{};
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < kBuckets; ++i) {
@@ -84,47 +85,62 @@ double TimeHistogram::quantile_us(double q) const {
     if (b[i] == 0) continue;
     const double next = cum + static_cast<double>(b[i]);
     if (next >= target) {
-      if (i == kBuckets - 1) {
-        return static_cast<double>(kBoundsUs.back());  // overflow bucket
-      }
-      const double lower =
-          i == 0 ? 0.0 : static_cast<double>(kBoundsUs[i - 1]);
-      const double upper = static_cast<double>(kBoundsUs[i]);
+      const auto lower = static_cast<double>(Ladder::lower(i));
+      const auto upper = static_cast<double>(Ladder::upper(i));
       const double frac = (target - cum) / static_cast<double>(b[i]);
       return lower + frac * (upper - lower);
     }
     cum = next;
   }
-  return static_cast<double>(kBoundsUs.back());
+  return static_cast<double>(Ladder::upper(kBuckets - 1));
 }
 
-double Histogram::quantile(double q) const {
-  std::array<std::uint64_t, kBuckets> b{};
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    b[i] = bucket(i);
-    total += b[i];
+template <class Ladder>
+std::string histogram_json(const BasicHistogram<Ladder>& h) {
+  const std::string unit = Ladder::kUnit;
+  std::string out = "{\"count\":" + std::to_string(h.count()) + ",\"sum" +
+                    unit + "\":" + std::to_string(h.sum()) + ",\"buckets\":[";
+  for (std::size_t i = 0; i < Ladder::kBuckets; ++i) {
+    if (i > 0) out += ',';
+    out += std::to_string(h.bucket(i));
   }
-  if (total == 0) return 0.0;
-  q = q < 0.0 ? 0.0 : (q > 1.0 ? 1.0 : q);
-  const double target = q * static_cast<double>(total);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    if (b[i] == 0) continue;
-    const double next = cum + static_cast<double>(b[i]);
-    if (next >= target) {
-      if (i == 0) return 0.0;  // bucket 0 holds exact zeros
-      const double lower = static_cast<double>(bucket_lower_bound(i));
-      // The overflow bucket has no upper bound; assume one bucket width.
-      const double upper = 2.0 * lower;
-      const double frac =
-          (target - cum) / static_cast<double>(b[i]);
-      return lower + frac * (upper - lower);
-    }
-    cum = next;
-  }
-  return static_cast<double>(bucket_lower_bound(kBuckets - 1)) * 2.0;
+  out += "],\"p50" + unit + "\":" + fmt_double(h.quantile(0.50)) + ",\"p90" +
+         unit + "\":" + fmt_double(h.quantile(0.90)) + ",\"p99" + unit +
+         "\":" + fmt_double(h.quantile(0.99)) + "}";
+  return out;
 }
+
+template <class Ladder>
+std::string histogram_prometheus(std::string_view name,
+                                 std::string_view labels,
+                                 const BasicHistogram<Ladder>& h) {
+  const std::string n(name);
+  const std::string lbl = labels.empty() ? "" : std::string(labels) + ",";
+  const std::string tail =
+      labels.empty() ? " " : "{" + std::string(labels) + "} ";
+  std::string out;
+  std::uint64_t cum = 0;
+  for (std::size_t i = 0; i < Ladder::kBuckets; ++i) {
+    cum += h.bucket(i);
+    const std::string le = i + 1 < Ladder::kBuckets
+                               ? std::to_string(Ladder::le(i))
+                               : std::string("+Inf");
+    out += n + "_bucket{" + lbl + "le=\"" + le + "\"} " +
+           std::to_string(cum) + "\n";
+  }
+  out += n + "_sum" + tail + std::to_string(h.sum()) + "\n";
+  out += n + "_count" + tail + std::to_string(h.count()) + "\n";
+  return out;
+}
+
+template class BasicHistogram<Pow2Ladder>;
+template class BasicHistogram<LatencyLadder>;
+template std::string histogram_json(const BasicHistogram<Pow2Ladder>&);
+template std::string histogram_json(const BasicHistogram<LatencyLadder>&);
+template std::string histogram_prometheus(std::string_view, std::string_view,
+                                          const BasicHistogram<Pow2Ladder>&);
+template std::string histogram_prometheus(
+    std::string_view, std::string_view, const BasicHistogram<LatencyLadder>&);
 
 void Registry::merge_from(const Registry& other) {
   // `other` must be quiescent (a finished worker's registry); take only its
@@ -150,58 +166,31 @@ void Registry::merge_from(const Registry& other) {
 std::string Registry::to_json() const {
   const std::scoped_lock lock(mu_);
   std::ostringstream os;
-  os << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    os << (first ? "" : ",") << '"' << json_escape(name)
-       << "\":" << c.value();
-    first = false;
-  }
-  os << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    os << (first ? "" : ",") << '"' << json_escape(name)
-       << "\":{\"value\":" << g.value() << ",\"max\":" << g.high_water()
-       << "}";
-    first = false;
-  }
-  os << "},\"timers\":{";
-  first = true;
-  for (const auto& [name, t] : timers_) {
-    os << (first ? "" : ",") << '"' << json_escape(name)
-       << "\":{\"calls\":" << t.calls() << ",\"seconds\":"
-       << fmt_double(t.seconds()) << "}";
-    first = false;
-  }
-  os << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    os << (first ? "" : ",") << '"' << json_escape(name)
-       << "\":{\"count\":" << h.count() << ",\"sum\":" << h.sum()
-       << ",\"buckets\":[";
-    for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-      os << (i ? "," : "") << h.bucket(i);
+  char open = '{';
+  // One `"key":{"<name>":<value>,...}` member per metric kind.
+  const auto section = [&](const char* key, const auto& table, auto value) {
+    os << open << '"' << key << "\":{";
+    open = ',';
+    bool first = true;
+    for (const auto& [name, m] : table) {
+      os << (first ? "" : ",") << '"' << json_escape(name) << "\":";
+      value(m);
+      first = false;
     }
-    os << "],\"p50\":" << fmt_double(h.quantile(0.50))
-       << ",\"p90\":" << fmt_double(h.quantile(0.90))
-       << ",\"p99\":" << fmt_double(h.quantile(0.99)) << "}";
-    first = false;
-  }
-  os << "},\"time_histograms\":{";
-  first = true;
-  for (const auto& [name, h] : time_histograms_) {
-    os << (first ? "" : ",") << '"' << json_escape(name)
-       << "\":{\"count\":" << h.count() << ",\"sum_us\":" << h.sum_us()
-       << ",\"buckets\":[";
-    for (std::size_t i = 0; i < TimeHistogram::kBuckets; ++i) {
-      os << (i ? "," : "") << h.bucket(i);
-    }
-    os << "],\"p50_us\":" << fmt_double(h.quantile_us(0.50))
-       << ",\"p90_us\":" << fmt_double(h.quantile_us(0.90))
-       << ",\"p99_us\":" << fmt_double(h.quantile_us(0.99)) << "}";
-    first = false;
-  }
-  os << "}}";
+    os << '}';
+  };
+  section("counters", counters_, [&](const Counter& c) { os << c.value(); });
+  section("gauges", gauges_, [&](const Gauge& g) {
+    os << "{\"value\":" << g.value() << ",\"max\":" << g.high_water() << "}";
+  });
+  section("timers", timers_, [&](const StageTimer& t) {
+    os << "{\"calls\":" << t.calls()
+       << ",\"seconds\":" << fmt_double(t.seconds()) << "}";
+  });
+  const auto hist = [&](const auto& h) { os << histogram_json(h); };
+  section("histograms", histograms_, hist);
+  section("time_histograms", time_histograms_, hist);
+  os << '}';
   return os.str();
 }
 
@@ -252,37 +241,15 @@ std::string Registry::to_prometheus(std::string_view prefix) const {
     prom_type(os, n + "_calls_total", "counter");
     os << n << "_calls_total " << t.calls() << '\n';
   }
-  for (const auto& [name, h] : histograms_) {
-    const std::string n = prom_name(prefix, name);
-    prom_type(os, n, "histogram");
-    // Pow2 bucket i covers [2^(i-1), 2^i); in integer terms its inclusive
-    // upper bound is 2^i - 1, which is what `le` wants.
-    std::uint64_t cum = 0;
-    for (std::size_t i = 0; i + 1 < Histogram::kBuckets; ++i) {
-      cum += h.bucket(i);
-      os << n << "_bucket{le=\""
-         << (Histogram::bucket_lower_bound(i + 1) - 1) << "\"} " << cum
-         << '\n';
+  const auto hists = [&](const auto& table) {
+    for (const auto& [name, h] : table) {
+      const std::string n = prom_name(prefix, name);
+      prom_type(os, n, "histogram");
+      os << histogram_prometheus(n, "", h);
     }
-    cum += h.bucket(Histogram::kBuckets - 1);
-    os << n << "_bucket{le=\"+Inf\"} " << cum << '\n';
-    os << n << "_sum " << h.sum() << '\n';
-    os << n << "_count " << h.count() << '\n';
-  }
-  for (const auto& [name, h] : time_histograms_) {
-    const std::string n = prom_name(prefix, name);
-    prom_type(os, n, "histogram");
-    std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < TimeHistogram::kBoundsUs.size(); ++i) {
-      cum += h.bucket(i);
-      os << n << "_bucket{le=\"" << TimeHistogram::kBoundsUs[i] << "\"} "
-         << cum << '\n';
-    }
-    cum += h.bucket(TimeHistogram::kBuckets - 1);
-    os << n << "_bucket{le=\"+Inf\"} " << cum << '\n';
-    os << n << "_sum " << h.sum_us() << '\n';
-    os << n << "_count " << h.count() << '\n';
-  }
+  };
+  hists(histograms_);
+  hists(time_histograms_);
   return os.str();
 }
 
@@ -317,11 +284,10 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
-JsonlTraceSink::JsonlTraceSink(std::ostream& os)
-    : os_(&os), start_(std::chrono::steady_clock::now()) {}
+JsonlTraceSink::JsonlTraceSink(std::ostream& os) : os_(&os) {}
 
 JsonlTraceSink::JsonlTraceSink(const std::string& path)
-    : file_(path), os_(&file_), start_(std::chrono::steady_clock::now()) {
+    : file_(path), os_(&file_) {
   if (!file_) {
     throw std::runtime_error("cannot open trace file: " + path);
   }
@@ -352,9 +318,7 @@ void JsonlTraceSink::event(std::string_view name,
 }
 
 void JsonlTraceSink::line(std::string_view name, std::string_view body) {
-  const auto t = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now() - start_)
-                     .count();
+  const std::uint64_t t = monotonic_ns() - start_ns_;
   // The body is formatted by the caller; only the sequence number needs
   // the mutex, so lines from concurrent workers stay valid JSONL (one
   // object per line) and numbered in file order.

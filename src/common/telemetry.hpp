@@ -22,10 +22,11 @@
 //    emissions never interleave.
 #pragma once
 
+#include <time.h>
+
 #include <array>
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <initializer_list>
@@ -90,16 +91,77 @@ class Gauge {
   std::atomic<std::int64_t> hw_{0};
 };
 
-/// Fixed-bucket power-of-two histogram for small non-negative magnitudes
-/// (narrowing-delta sizes, queue depths, conflict depths). Bucket 0 holds
-/// exact zeros; bucket i (1 <= i <= kBuckets-2) holds [2^(i-1), 2^i); the
-/// last bucket overflows. No allocation, O(1) observe. Concurrent observes
-/// keep count/sum/bucket totals exact; a racing snapshot may be torn
-/// across the three (each is individually consistent).
-class Histogram {
- public:
+/// The pow2 magnitude ladder, for small non-negative magnitudes spanning
+/// many orders (narrowing-delta sizes, queue depths, conflict depths).
+/// Bucket 0 holds exact zeros; bucket i (1 <= i <= kBuckets-2) holds
+/// [2^(i-1), 2^i); the last bucket overflows.
+struct Pow2Ladder {
   static constexpr std::size_t kBuckets = 18;
+  static constexpr const char* kUnit = "";  // JSON key suffix
 
+  [[nodiscard]] static constexpr std::size_t index(std::uint64_t v) {
+    if (v == 0) return 0;
+    const auto w = static_cast<std::size_t>(std::bit_width(v));
+    return w < kBuckets - 1 ? w : kBuckets - 1;
+  }
+  /// Inclusive lower bound of bucket `i` (0, 1, 2, 4, 8, ...).
+  [[nodiscard]] static constexpr std::uint64_t lower(std::size_t i) {
+    return i == 0 ? 0 : std::uint64_t{1} << (i - 1);
+  }
+  /// Interpolation ceiling of bucket `i`: bucket 0 is exactly 0, and the
+  /// overflow bucket is assumed one bucket wide.
+  [[nodiscard]] static constexpr std::uint64_t upper(std::size_t i) {
+    return 2 * lower(i);
+  }
+  /// Largest integer in bucket `i < kBuckets-1` (Prometheus `le`).
+  [[nodiscard]] static constexpr std::uint64_t le(std::size_t i) {
+    return (std::uint64_t{1} << i) - 1;
+  }
+};
+
+/// The µs latency ladder, for request latencies: a fixed SLO-style
+/// boundary ladder (50 µs .. 10 s) matching Prometheus scrape conventions,
+/// where pow2 buckets could not tell a 60 µs queue wait from a 100 µs one.
+/// Bucket i counts observations v <= kBoundsUs[i]; the last bucket
+/// overflows.
+struct LatencyLadder {
+  static constexpr std::array<std::uint64_t, 16> kBoundsUs = {
+      50,      100,     250,     500,       1'000,     2'500,
+      5'000,   10'000,  25'000,  50'000,    100'000,   250'000,
+      500'000, 1'000'000, 2'500'000, 10'000'000};
+  static constexpr std::size_t kBuckets = kBoundsUs.size() + 1;
+  static constexpr const char* kUnit = "_us";
+
+  [[nodiscard]] static constexpr std::size_t index(std::uint64_t us) {
+    for (std::size_t i = 0; i < kBoundsUs.size(); ++i) {
+      if (us <= kBoundsUs[i]) return i;
+    }
+    return kBuckets - 1;
+  }
+  [[nodiscard]] static constexpr std::uint64_t lower(std::size_t i) {
+    return i == 0 ? 0 : kBoundsUs[i - 1];
+  }
+  /// The overflow bucket interpolates to its lower bound, never beyond.
+  [[nodiscard]] static constexpr std::uint64_t upper(std::size_t i) {
+    return kBoundsUs[i < kBoundsUs.size() ? i : kBoundsUs.size() - 1];
+  }
+  [[nodiscard]] static constexpr std::uint64_t le(std::size_t i) {
+    return kBoundsUs[i];
+  }
+};
+
+/// Fixed-bucket histogram over a bucket ladder. No allocation, O(1)
+/// observe on the pow2 ladder. Concurrent observes keep count/sum/bucket
+/// totals exact; a racing snapshot may be torn across the three (each is
+/// individually consistent).
+template <class Ladder>
+class BasicHistogram {
+ public:
+  static constexpr std::size_t kBuckets = Ladder::kBuckets;
+
+  [[nodiscard]] static constexpr std::size_t bucket_index(std::uint64_t v) {
+    return Ladder::index(v);
+  }
   void observe(std::uint64_t v) {
     buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
@@ -114,33 +176,21 @@ class Histogram {
   [[nodiscard]] std::uint64_t bucket(std::size_t i) const {
     return buckets_[i].load(std::memory_order_relaxed);
   }
-  /// Inclusive lower bound of bucket `i` (0, 1, 2, 4, 8, ...).
-  [[nodiscard]] static constexpr std::uint64_t bucket_lower_bound(
-      std::size_t i) {
-    return i == 0 ? 0 : std::uint64_t{1} << (i - 1);
-  }
-  [[nodiscard]] static constexpr std::size_t bucket_index(std::uint64_t v) {
-    if (v == 0) return 0;
-    const auto w = static_cast<std::size_t>(std::bit_width(v));
-    return w < kBuckets - 1 ? w : kBuckets - 1;
-  }
-  /// Estimated q-quantile (q in [0,1]) by linear interpolation inside the
-  /// pow2 bucket the rank falls in: exact for bucket 0 (zeros), otherwise
-  /// accurate to within the bucket width. Returns 0 on an empty histogram.
-  /// Snapshots the buckets once, so a racing observe may shift the estimate
-  /// by at most its own weight.
+  /// Estimated q-quantile (q in [0,1]) by linear interpolation between the
+  /// ladder's lower and upper bound of the bucket the rank falls in.
+  /// Returns 0 on an empty histogram. Snapshots the buckets once, so a
+  /// racing observe may shift the estimate by at most its own weight.
   [[nodiscard]] double quantile(double q) const;
-  void merge_from(const Histogram& other) {
-    for (std::size_t i = 0; i < kBuckets; ++i) {
-      buckets_[i].fetch_add(other.bucket(i), std::memory_order_relaxed);
-    }
-    count_.fetch_add(other.count(), std::memory_order_relaxed);
-    sum_.fetch_add(other.sum(), std::memory_order_relaxed);
+  void merge_from(const BasicHistogram& other) {
+    std::array<std::uint64_t, kBuckets> b;
+    for (std::size_t i = 0; i < kBuckets; ++i) b[i] = other.bucket(i);
+    add_counts(b, other.count(), other.sum());
   }
-  /// Folds pre-aggregated totals in (the LocalHistogram flush path).
-  void add_counts(std::span<const std::uint64_t> bucket_counts,
+  /// Folds pre-aggregated totals in (merge_from and the LocalHistogram
+  /// flush path).
+  void add_counts(const std::array<std::uint64_t, kBuckets>& bucket_counts,
                   std::uint64_t count, std::uint64_t sum) {
-    for (std::size_t i = 0; i < kBuckets && i < bucket_counts.size(); ++i) {
+    for (std::size_t i = 0; i < kBuckets; ++i) {
       if (bucket_counts[i] != 0) {
         buckets_[i].fetch_add(bucket_counts[i], std::memory_order_relaxed);
       }
@@ -160,74 +210,40 @@ class Histogram {
   std::atomic<std::uint64_t> sum_{0};
 };
 
-/// Explicit-boundary time histogram for µs-scale request latencies. The
-/// pow2 Histogram is the right shape for magnitudes spanning many orders,
-/// but its buckets double — useless for telling a 60 µs queue wait from a
-/// 100 µs one. This one uses a fixed SLO-style boundary ladder (50 µs ..
-/// 10 s) chosen to match Prometheus scrape conventions: bucket i counts
-/// observations v <= kBoundsUs[i] (cumulatively rendered as `le` buckets in
-/// the exposition), the last bucket overflows. Same concurrency contract as
-/// Histogram: relaxed atomics, exact totals, torn snapshots possible.
-class TimeHistogram {
+extern template class BasicHistogram<Pow2Ladder>;
+extern template class BasicHistogram<LatencyLadder>;
+
+using Histogram = BasicHistogram<Pow2Ladder>;
+
+/// A latency-ladder histogram: observations and sums are in µs.
+class TimeHistogram : public BasicHistogram<LatencyLadder> {
  public:
-  static constexpr std::array<std::uint64_t, 16> kBoundsUs = {
-      50,      100,     250,     500,       1'000,     2'500,
-      5'000,   10'000,  25'000,  50'000,    100'000,   250'000,
-      500'000, 1'000'000, 2'500'000, 10'000'000};
-  static constexpr std::size_t kBuckets = kBoundsUs.size() + 1;
-
-  [[nodiscard]] static constexpr std::size_t bucket_index(std::uint64_t us) {
-    for (std::size_t i = 0; i < kBoundsUs.size(); ++i) {
-      if (us <= kBoundsUs[i]) return i;
-    }
-    return kBuckets - 1;
-  }
-
-  void observe_us(std::uint64_t us) {
-    buckets_[bucket_index(us)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_us_.fetch_add(us, std::memory_order_relaxed);
-  }
-  void observe_ns(std::uint64_t ns) { observe_us(ns / 1000); }
-
-  [[nodiscard]] std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t sum_us() const {
-    return sum_us_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
-  /// Estimated q-quantile in µs by linear interpolation inside the bucket
-  /// the rank lands in (the overflow bucket reports its lower bound).
-  [[nodiscard]] double quantile_us(double q) const;
-  void merge_from(const TimeHistogram& other) {
-    for (std::size_t i = 0; i < kBuckets; ++i) {
-      buckets_[i].fetch_add(other.bucket(i), std::memory_order_relaxed);
-    }
-    count_.fetch_add(other.count(), std::memory_order_relaxed);
-    sum_us_.fetch_add(other.sum_us(), std::memory_order_relaxed);
-  }
-  void reset() {
-    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-    sum_us_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_us_{0};
+  void observe_ns(std::uint64_t ns) { observe(ns / 1000); }
+  [[nodiscard]] double quantile_us(double q) const { return quantile(q); }
 };
 
-/// Single-owner accumulation buffer in front of a shared Histogram: each
-/// observe() is plain (non-atomic) integer arithmetic, and flush() folds
-/// the totals into the histogram with one batch of relaxed RMWs. Loops
-/// that observe per event at very high rates (the per-pop queue-depth and
-/// per-revision magnitude observations in ConstraintSystem) buffer through
-/// this so the hot path never touches shared cache lines. Not thread-safe;
-/// flushed on destruction.
+/// A histogram as a JSON object: {"count","sum<unit>","buckets",
+/// "p50<unit>","p90<unit>","p99<unit>"}, the unit being the ladder's ("" or
+/// "_us"); quantiles print as %.9g.
+template <class Ladder>
+[[nodiscard]] std::string histogram_json(const BasicHistogram<Ladder>& h);
+
+/// A histogram as Prometheus series `<name>_bucket` (cumulative, one `le`
+/// per ladder bound plus "+Inf"), `<name>_sum` and `<name>_count`, each
+/// carrying `labels` (e.g. `circuit="c432"`; "" for none). The caller
+/// writes the `# TYPE` line.
+template <class Ladder>
+[[nodiscard]] std::string histogram_prometheus(
+    std::string_view name, std::string_view labels,
+    const BasicHistogram<Ladder>& h);
+
+/// Single-owner accumulation buffer in front of a shared pow2 Histogram:
+/// each observe() is plain (non-atomic) integer arithmetic, and flush()
+/// folds the totals into the histogram with one batch of relaxed RMWs.
+/// Loops that observe per event at very high rates (the per-pop queue-depth
+/// and per-revision magnitude observations in ConstraintSystem) buffer
+/// through this so the hot path never touches shared cache lines. Not
+/// thread-safe; flushed on destruction.
 class LocalHistogram {
  public:
   explicit LocalHistogram(Histogram& h) : h_(&h) {}
@@ -289,22 +305,25 @@ class StageTimer {
   std::atomic<std::uint64_t> total_ns_{0};
 };
 
-/// Steady-clock stopwatch with ns resolution.
+/// The process's one monotonic clock: CLOCK_MONOTONIC in ns. Deadlines,
+/// latencies, flight records, trace timestamps and stage timers all read it.
+[[nodiscard]] inline std::uint64_t monotonic_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_MONOTONIC, &ts);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ULL +
+         static_cast<std::uint64_t>(ts.tv_nsec);
+}
+
+/// Stopwatch on monotonic_ns().
 class StopWatch {
  public:
-  StopWatch() : start_(std::chrono::steady_clock::now()) {}
-  [[nodiscard]] std::uint64_t ns() const {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start_)
-            .count());
-  }
+  [[nodiscard]] std::uint64_t ns() const { return monotonic_ns() - start_; }
   [[nodiscard]] double seconds() const {
     return static_cast<double>(ns()) * 1e-9;
   }
 
  private:
-  std::chrono::steady_clock::time_point start_;
+  std::uint64_t start_ = monotonic_ns();
 };
 
 /// RAII: adds the scope's wall time to a StageTimer on destruction.
@@ -356,8 +375,8 @@ class Registry {
   /// Prometheus text exposition (version 0.0.4) of every metric, names
   /// mangled to `<prefix>_<dotted_path_with_underscores>`: counters become
   /// `_total` counters, timers a `_seconds_total`/`_calls_total` pair,
-  /// gauges a gauge plus `_max`, and both histogram flavors full Prometheus
-  /// histograms with cumulative `le` buckets (µs values for TimeHistogram).
+  /// gauges a gauge plus `_max`, and histograms of both ladders
+  /// `histogram_prometheus` series.
   [[nodiscard]] std::string to_prometheus(std::string_view prefix) const;
 
   /// Zeroes every metric value; registrations (and references) survive.
@@ -491,7 +510,7 @@ class JsonlTraceSink final : public TraceSink {
   std::ostream* os_;
   std::mutex mu_;
   std::atomic<std::uint64_t> seq_{0};
-  std::chrono::steady_clock::time_point start_;
+  std::uint64_t start_ns_ = monotonic_ns();
 };
 
 /// JSON string-body escaping (quotes, backslashes, control characters).

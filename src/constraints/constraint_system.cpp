@@ -31,38 +31,18 @@ ConstraintSystem::ConstraintSystem(const Circuit& circuit)
       domains_(circuit.num_nets()),
       gate_level_(circuit.num_gates(), 0),
       save_epoch_(circuit.num_nets(), 0),
-      ctr_fixpoints_(telemetry::Registry::current().counter("engine.fixpoints")),
-      ctr_narrowings_(
-          telemetry::Registry::current().counter("engine.narrowings")),
-      ctr_conflicts_(telemetry::Registry::current().counter("engine.conflicts")),
-      ctr_gate_evals_(
-          telemetry::Registry::current().counter("fixpoint.gate_evals")),
-      ctr_level_sweeps_(
-          telemetry::Registry::current().counter("fixpoint.level_sweeps")),
-      ctr_perf_cycles_(
-          telemetry::Registry::current().counter("perf.fixpoint.cycles")),
-      ctr_perf_instructions_(telemetry::Registry::current().counter(
-          "perf.fixpoint.instructions")),
-      ctr_perf_cache_refs_(telemetry::Registry::current().counter(
-          "perf.fixpoint.cache_references")),
-      ctr_perf_cache_misses_(telemetry::Registry::current().counter(
-          "perf.fixpoint.cache_misses")),
-      ctr_perf_branch_misses_(telemetry::Registry::current().counter(
-          "perf.fixpoint.branch_misses")),
-      ctr_perf_wall_ns_(
-          telemetry::Registry::current().counter("perf.fixpoint.wall_ns")),
-      ctr_perf_sections_(
-          telemetry::Registry::current().counter("perf.fixpoint.sections")),
-      h_fixpoint_narrowings_(telemetry::Registry::current().histogram(
-          "engine.fixpoint_narrowings")),
-      lh_queue_depth_(
-          telemetry::Registry::current().histogram("engine.queue_depth")),
-      lh_narrowing_magnitude_(telemetry::Registry::current().histogram(
-          "engine.narrowing_magnitude")),
-      g_trail_depth_(telemetry::Registry::current().gauge("engine.trail_depth")),
-      g_queue_depth_(telemetry::Registry::current().gauge("engine.queue_depth")),
-      g_arena_bytes_(
-          telemetry::Registry::current().gauge("engine.arena_bytes")) {
+      reg_(telemetry::Registry::current()),
+      ctr_fixpoints_(reg_.counter("engine.fixpoints")),
+      ctr_narrowings_(reg_.counter("engine.narrowings")),
+      ctr_conflicts_(reg_.counter("engine.conflicts")),
+      ctr_gate_evals_(reg_.counter("fixpoint.gate_evals")),
+      ctr_level_sweeps_(reg_.counter("fixpoint.level_sweeps")),
+      h_fixpoint_narrowings_(reg_.histogram("engine.fixpoint_narrowings")),
+      lh_queue_depth_(reg_.histogram("engine.queue_depth")),
+      lh_narrowing_magnitude_(reg_.histogram("engine.narrowing_magnitude")),
+      g_trail_depth_(reg_.gauge("engine.trail_depth")),
+      g_queue_depth_(reg_.gauge("engine.queue_depth")),
+      g_arena_bytes_(reg_.gauge("engine.arena_bytes")) {
   // Longest-path gate levels: level(g) = 1 + max level over driven inputs.
   for (GateId g : circuit.topo_order()) {
     std::uint32_t lv = 0;
@@ -119,8 +99,7 @@ void ConstraintSystem::commit_domain(NetId n, const AbstractSignal& value) {
         static_cast<std::uint64_t>(old_latest.value() - new_latest.value()));
   } else {
     lh_narrowing_magnitude_.observe(
-        telemetry::Histogram::bucket_lower_bound(
-            telemetry::Histogram::kBuckets - 1));
+        telemetry::Pow2Ladder::lower(telemetry::Pow2Ladder::kBuckets - 1));
   }
 
   schedule_net(n);
@@ -199,7 +178,7 @@ bool ConstraintSystem::sweep_level(std::size_t lv,
   AbstractSignal* const ins = gate_ins_.data();
   for (const std::uint32_t s : sweep_slots_) {
     if (applications_ >= next_deadline_check) {
-      if (prof::monotonic_ns() >= deadline_ns_) {
+      if (telemetry::monotonic_ns() >= deadline_ns_) {
         clear_queue();
         deadline_hit_ = true;
         return false;
@@ -273,15 +252,9 @@ ConstraintSystem::Status ConstraintSystem::reach_fixpoint() {
   ctr_narrowings_.add(narrowings_ - nar0);
   ctr_level_sweeps_.add(sweeps);
   if (perf_on) {
-    const prof::CounterDelta d =
-        prof::delta_between(perf0, prof::thread_counter_group().read());
-    ctr_perf_cycles_.add(d.cycles);
-    ctr_perf_instructions_.add(d.instructions);
-    ctr_perf_cache_refs_.add(d.cache_references);
-    ctr_perf_cache_misses_.add(d.cache_misses);
-    ctr_perf_branch_misses_.add(d.branch_misses);
-    ctr_perf_wall_ns_.add(d.wall_ns);
-    ctr_perf_sections_.inc();
+    prof::add_to_registry(
+        reg_, "fixpoint",
+        prof::delta_between(perf0, prof::thread_counter_group().read()));
   }
   // Liveness tick for the --progress monitor: gate evaluations are the
   // engine's finest-grained forward-progress unit (+1 so even an empty

@@ -160,7 +160,7 @@ class ConstraintSystem final {
 
   // ----- deadlines -----------------------------------------------------------
   /// Arms (or, with 0, disarms) an absolute monotonic deadline
-  /// (prof::monotonic_ns clock). `reach_fixpoint` checks it every
+  /// (telemetry::monotonic_ns clock). `reach_fixpoint` checks it every
   /// `kDeadlineStride` gate applications; once it passes, the drain stops
   /// early with the queue cleared, `deadline_hit()` latches, and every
   /// later `reach_fixpoint` call returns immediately. Early exit is sound
@@ -254,23 +254,14 @@ class ConstraintSystem final {
   // paths are plain integer arithmetic, never name lookups. The two
   // highest-rate histograms buffer through LocalHistogram and flush at
   // fixpoint exit (and on destruction), so per-event observation stays
-  // non-atomic.
+  // non-atomic. `reg_` also receives the fixpoint drain's hardware-counter
+  // window ("perf.fixpoint.*") when prof::counters_enabled().
+  telemetry::Registry& reg_;
   telemetry::Counter& ctr_fixpoints_;
   telemetry::Counter& ctr_narrowings_;
   telemetry::Counter& ctr_conflicts_;
   telemetry::Counter& ctr_gate_evals_;
   telemetry::Counter& ctr_level_sweeps_;
-  // Hardware-counter totals for the fixpoint drain (perf observatory):
-  // bumped once per reach_fixpoint when prof::counters_enabled(), so the
-  // disabled path pays one branch. Cycles/instructions/misses live under
-  // "perf.fixpoint.*" next to the stage-level "perf.stage.*" slots.
-  telemetry::Counter& ctr_perf_cycles_;
-  telemetry::Counter& ctr_perf_instructions_;
-  telemetry::Counter& ctr_perf_cache_refs_;
-  telemetry::Counter& ctr_perf_cache_misses_;
-  telemetry::Counter& ctr_perf_branch_misses_;
-  telemetry::Counter& ctr_perf_wall_ns_;
-  telemetry::Counter& ctr_perf_sections_;
   telemetry::Histogram& h_fixpoint_narrowings_;
   telemetry::LocalHistogram lh_queue_depth_;
   telemetry::LocalHistogram lh_narrowing_magnitude_;

@@ -106,7 +106,7 @@ void ProgressMonitor::stop() {
 
 void ProgressMonitor::run() {
   auto& reg = telemetry::Registry::global();
-  const std::uint64_t t0 = monotonic_ns();
+  const std::uint64_t t0 = telemetry::monotonic_ns();
   std::uint64_t prev_ticks = total_progress();
   std::uint64_t prev_ns = t0;
   std::uint64_t last_advance_ns = t0;
@@ -120,7 +120,7 @@ void ProgressMonitor::run() {
     if (stop_requested_) break;
     lk.unlock();
 
-    const std::uint64_t now = monotonic_ns();
+    const std::uint64_t now = telemetry::monotonic_ns();
     const std::uint64_t ticks = total_progress();
     const double dt = static_cast<double>(now - prev_ns) * 1e-9;
     const std::uint64_t rate =

@@ -12,7 +12,6 @@
 #include <linux/perf_event.h>
 #include <sys/ioctl.h>
 #include <sys/syscall.h>
-#include <time.h>
 #include <unistd.h>
 #endif
 
@@ -54,17 +53,6 @@ int fake_errno() {
 
 }  // namespace
 
-std::uint64_t monotonic_ns() {
-#ifdef __linux__
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ull +
-         static_cast<std::uint64_t>(ts.tv_nsec);
-#else
-  return 0;
-#endif
-}
-
 std::uint64_t scale_multiplexed(std::uint64_t raw, std::uint64_t enabled_ns,
                                 std::uint64_t running_ns) {
   if (raw == 0 || enabled_ns == running_ns) return raw;
@@ -75,9 +63,10 @@ std::uint64_t scale_multiplexed(std::uint64_t raw, std::uint64_t enabled_ns,
   return static_cast<std::uint64_t>(scaled + 0.5L);
 }
 
-CounterDelta delta_between(const CounterSample& begin,
-                           const CounterSample& end) {
-  CounterDelta d;
+CounterTotals delta_between(const CounterSample& begin,
+                            const CounterSample& end) {
+  CounterTotals d;
+  d.sections = 1;
   d.wall_ns = end.monotonic_ns - begin.monotonic_ns;
   d.hw_valid = begin.hw_valid && end.hw_valid;
   if (!d.hw_valid) return d;
@@ -95,25 +84,14 @@ CounterDelta delta_between(const CounterSample& begin,
   return d;
 }
 
-void CounterTotals::add(const CounterDelta& d) {
-  cycles += d.cycles;
-  instructions += d.instructions;
-  cache_references += d.cache_references;
-  cache_misses += d.cache_misses;
-  branch_misses += d.branch_misses;
-  wall_ns += d.wall_ns;
-  ++sections;
-  hw_valid = hw_valid && d.hw_valid;
-}
-
 void CounterTotals::add(const CounterTotals& o) {
+  wall_ns += o.wall_ns;
   if (o.sections == 0) return;
   cycles += o.cycles;
   instructions += o.instructions;
   cache_references += o.cache_references;
   cache_misses += o.cache_misses;
   branch_misses += o.branch_misses;
-  wall_ns += o.wall_ns;
   sections += o.sections;
   hw_valid = hw_valid && o.hw_valid;
 }
@@ -189,7 +167,7 @@ PerfCounterGroup::~PerfCounterGroup() {
 
 CounterSample PerfCounterGroup::read() const {
   CounterSample s;
-  s.monotonic_ns = monotonic_ns();
+  s.monotonic_ns = telemetry::monotonic_ns();
 #ifdef __linux__
   if (!available()) return s;
   // PERF_FORMAT_GROUP layout: nr, time_enabled, time_running,
@@ -241,7 +219,7 @@ std::uint64_t warnings_emitted() {
 }
 
 void add_to_registry(telemetry::Registry& reg, std::string_view slot,
-                     const CounterDelta& d) {
+                     const CounterTotals& d) {
   const std::string prefix = "perf." + std::string(slot) + ".";
   reg.counter(prefix + "cycles").add(d.cycles);
   reg.counter(prefix + "instructions").add(d.instructions);
@@ -249,7 +227,7 @@ void add_to_registry(telemetry::Registry& reg, std::string_view slot,
   reg.counter(prefix + "cache_misses").add(d.cache_misses);
   reg.counter(prefix + "branch_misses").add(d.branch_misses);
   reg.counter(prefix + "wall_ns").add(d.wall_ns);
-  reg.counter(prefix + "sections").inc();
+  reg.counter(prefix + "sections").add(d.sections);
 }
 
 void reset_thread_counter_group_for_testing() { t_group.reset(); }

@@ -35,11 +35,9 @@
 
 namespace waveck::prof {
 
-/// CLOCK_MONOTONIC in nanoseconds.
-[[nodiscard]] std::uint64_t monotonic_ns();
-
 /// One point-in-time reading of a thread's counter group. Hardware fields
-/// are raw (unscaled); monotonic_ns is always valid.
+/// are raw (unscaled); monotonic_ns (telemetry::monotonic_ns) is always
+/// valid.
 struct CounterSample {
   bool hw_valid = false;
   std::uint64_t cycles = 0;
@@ -52,17 +50,6 @@ struct CounterSample {
   std::uint64_t monotonic_ns = 0;
 };
 
-/// Difference between two samples with multiplex scaling applied.
-struct CounterDelta {
-  bool hw_valid = false;
-  std::uint64_t cycles = 0;
-  std::uint64_t instructions = 0;
-  std::uint64_t cache_references = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t branch_misses = 0;
-  std::uint64_t wall_ns = 0;
-};
-
 /// Scales a raw event delta by enabled/running time: the kernel multiplexes
 /// groups onto the PMU, so a group scheduled for only part of the window
 /// extrapolates linearly. enabled==running (the common, un-multiplexed
@@ -72,12 +59,11 @@ struct CounterDelta {
                                               std::uint64_t enabled_ns,
                                               std::uint64_t running_ns);
 
-[[nodiscard]] CounterDelta delta_between(const CounterSample& begin,
-                                         const CounterSample& end);
-
-/// Accumulated deltas for one attribution slot (a pipeline stage, a bench
-/// row, a whole run). hw_valid is the AND over contributions with hardware
-/// data — a single degraded section marks the total wall-clock-only.
+/// Accumulated cost of one attribution slot (a pipeline stage, a bench row,
+/// a whole run). `wall_ns` may also be added on its own, with counters off;
+/// `sections` counts the counter windows, so any() says whether counters
+/// were on. hw_valid is the AND over the windows — a single degraded
+/// section marks the total wall-clock-only.
 struct CounterTotals {
   std::uint64_t cycles = 0;
   std::uint64_t instructions = 0;
@@ -88,7 +74,7 @@ struct CounterTotals {
   std::uint64_t sections = 0;
   bool hw_valid = true;
 
-  void add(const CounterDelta& d);
+  /// Adds `o`'s wall time and, if it holds counter windows, its counters.
   void add(const CounterTotals& o);
   [[nodiscard]] bool any() const { return sections != 0; }
   /// Instructions per cycle; 0 when no cycles were counted.
@@ -96,6 +82,10 @@ struct CounterTotals {
   /// cache_misses / cache_references; 0 when no references were counted.
   [[nodiscard]] double cache_miss_rate() const;
 };
+
+/// The one counter window between two samples, multiplex-scaled.
+[[nodiscard]] CounterTotals delta_between(const CounterSample& begin,
+                                          const CounterSample& end);
 
 /// One perf_event_open group bound to the calling thread. Construction
 /// opens (or degrades); read() is one syscall. Not thread-safe: use from
@@ -137,12 +127,12 @@ void set_counters_enabled(bool on);
 /// How many fallback warnings went to stderr (tests assert exactly one).
 [[nodiscard]] std::uint64_t warnings_emitted();
 
-/// Adds a scaled delta to the calling thread's registry under
-/// "perf.<slot>.{cycles,instructions,cache_references,cache_misses,
-/// branch_misses,wall_ns,sections}". Worker registries merge these like
-/// every other counter, so global totals equal the sum over checks.
+/// Adds counter windows to `reg` under "perf.<slot>.{cycles,instructions,
+/// cache_references,cache_misses,branch_misses,wall_ns,sections}". Worker
+/// registries merge these like every other counter, so global totals equal
+/// the sum over checks.
 void add_to_registry(telemetry::Registry& reg, std::string_view slot,
-                     const CounterDelta& d);
+                     const CounterTotals& d);
 
 /// Destroys the calling thread's group so the next thread_counter_group()
 /// re-opens (used to exercise WAVECK_PERF_FAKE_ERRNO in tests).

@@ -61,21 +61,20 @@ StageSpan::StageSpan(const char* stage, telemetry::StopWatch& boundary)
   flight::record(flight::Kind::kStageBegin, stage);
 }
 
-void StageSpan::close(const char* status, double* seconds,
-                      CounterTotals* perf) {
+void StageSpan::close(const char* status, CounterTotals* cost) {
   auto& reg = telemetry::Registry::current();
   char buf[64];
   const int len = std::snprintf(buf, sizeof buf, "stage.%s", stage_);
   const std::string_view timer(buf, static_cast<std::size_t>(len));
   const std::uint64_t ns = boundary_.ns();
   reg.timer(timer).add_ns(ns);
-  if (seconds != nullptr) *seconds += static_cast<double>(ns) * 1e-9;
   boundary_ = telemetry::StopWatch();
-  if (perf_on_ && perf != nullptr) {
-    const CounterDelta d =
-        delta_between(perf_mark_, thread_counter_group().read());
-    perf->add(d);
-    add_to_registry(reg, timer, d);
+  if (cost != nullptr) {
+    CounterTotals d;
+    if (perf_on_) d = delta_between(perf_mark_, thread_counter_group().read());
+    d.wall_ns = ns;
+    cost->add(d);
+    if (perf_on_) add_to_registry(reg, timer, d);
   }
   slot_.stage.store(nullptr, std::memory_order_relaxed);
   flight::record(flight::Kind::kStageEnd, stage_, 0, 0,

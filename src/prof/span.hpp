@@ -48,10 +48,12 @@ class CheckSpan {
 
 /// A pipeline stage's span inside a check span. A stage is charged from the
 /// previous stage's close (`boundary`), so the set-up between two stages
-/// (the carrier cache, SCOAP) counts toward the stage it prepares. With
-/// counters_enabled() the counter window is added both to the caller's
-/// CounterTotals and to the thread's registry under "perf.stage.<name>.*",
-/// so the global registry equals the sum over per-check reports.
+/// (the carrier cache, SCOAP) counts toward the stage it prepares. Its wall
+/// time goes to the "stage.<name>" timer and the caller's CounterTotals;
+/// with counters_enabled() its counter window (carrying the same wall time)
+/// is added to both the CounterTotals and the thread's registry under
+/// "perf.stage.<name>.*", so the global registry equals the sum over
+/// per-check reports.
 class StageSpan {
  public:
   /// `stage` must be a string literal (profiler samples keep the pointer).
@@ -60,10 +62,8 @@ class StageSpan {
   StageSpan& operator=(const StageSpan&) = delete;
 
   /// Closes the stage with its verdict letter ("-", "P", "N" or the check's
-  /// conclusion), adding its time to `seconds` and its counter window to
-  /// `perf` when given.
-  void close(const char* status, double* seconds = nullptr,
-             CounterTotals* perf = nullptr);
+  /// conclusion), adding its cost to `cost` when given.
+  void close(const char* status, CounterTotals* cost = nullptr);
 
  private:
   flight::Slot& slot_;

@@ -11,7 +11,7 @@
 #include <atomic>
 #include <cstdint>
 
-#include "prof/perf_counters.hpp"
+#include "common/telemetry.hpp"
 
 namespace waveck::sched {
 
@@ -26,7 +26,7 @@ class CancellationToken {
     return cancelled_.load(std::memory_order_acquire);
   }
 
-  /// Arms an absolute monotonic deadline (prof::monotonic_ns clock; 0
+  /// Arms an absolute monotonic deadline (telemetry::monotonic_ns clock; 0
   /// disarms). Once the clock passes it, the next poll() latches cancel(),
   /// so workers that only watch `flag()` observe a deadline as a normal
   /// cancellation. Arm between batches, like reset().
@@ -41,7 +41,7 @@ class CancellationToken {
   bool poll() noexcept {
     if (cancelled()) return true;
     const std::uint64_t dl = deadline_ns();
-    if (dl != 0 && prof::monotonic_ns() >= dl) {
+    if (dl != 0 && telemetry::monotonic_ns() >= dl) {
       cancel();
       return true;
     }

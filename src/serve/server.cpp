@@ -27,7 +27,6 @@
 #include "netlist/transforms.hpp"
 #include "netlist/verilog_io.hpp"
 #include "prof/heartbeat.hpp"
-#include "prof/perf_counters.hpp"
 #include "verify/report_io.hpp"
 
 namespace waveck::serve {
@@ -269,7 +268,7 @@ bool Server::start(std::string* err) {
                 }},
         std::cerr);
   }
-  start_ns_ = prof::monotonic_ns();
+  start_ns_ = telemetry::monotonic_ns();
   worker_ = std::thread([this] { worker_loop(); });
   started_ = true;
   return true;
@@ -517,7 +516,7 @@ void Server::enqueue(const std::shared_ptr<Connection>& conn,
   Pending p;
   p.conn = conn;
   p.req = req;
-  p.enqueued_ns = prof::monotonic_ns();
+  p.enqueued_ns = telemetry::monotonic_ns();
   const std::uint64_t timeout_ms =
       req.timeout_ms ? *req.timeout_ms : opt_.default_timeout_ms;
   if (req.op == Op::kCheck && timeout_ms > 0) {
@@ -631,7 +630,7 @@ void Server::run_checks(const ResidentPtr& resident,
   // Requests whose deadline passed while queued: answered without running.
   std::vector<Pending> live;
   live.reserve(group.size());
-  const std::uint64_t now = prof::monotonic_ns();
+  const std::uint64_t now = telemetry::monotonic_ns();
   bool queue_expired = false;
   for (Pending& p : group) {
     if (p.expiry_ns != 0 && now >= p.expiry_ns) {
@@ -698,7 +697,7 @@ void Server::run_checks(const ResidentPtr& resident,
 
     const Request& rq = run.front().req;
     const Time delta(rq.delta);
-    const std::uint64_t run_start_ns = prof::monotonic_ns();
+    const std::uint64_t run_start_ns = telemetry::monotonic_ns();
     std::string conclusion;
     std::string report;
     if (rq.output.empty()) {
@@ -733,7 +732,7 @@ void Server::run_checks(const ResidentPtr& resident,
       report = canonical_json(c, rep);
     }
 
-    const std::uint64_t done_ns = prof::monotonic_ns();
+    const std::uint64_t done_ns = telemetry::monotonic_ns();
     bool run_expired = false;
     for (const Pending& p : run) {
       const bool expired = p.expiry_ns != 0 && done_ns >= p.expiry_ns;
@@ -841,22 +840,6 @@ std::string fmt3(double v) {
   return buf;
 }
 
-/// One TimeHistogram as a JSON object, matching the registry's
-/// "time_histograms" entry shape so explain/tooling parses both the same.
-std::string time_hist_json(const telemetry::TimeHistogram& h) {
-  std::string out = "{\"count\":" + std::to_string(h.count()) +
-                    ",\"sum_us\":" + std::to_string(h.sum_us()) +
-                    ",\"buckets\":[";
-  for (std::size_t i = 0; i < telemetry::TimeHistogram::kBuckets; ++i) {
-    if (i > 0) out += ",";
-    out += std::to_string(h.bucket(i));
-  }
-  out += "],\"p50_us\":" + fmt3(h.quantile_us(0.50)) +
-         ",\"p90_us\":" + fmt3(h.quantile_us(0.90)) +
-         ",\"p99_us\":" + fmt3(h.quantile_us(0.99)) + "}";
-  return out;
-}
-
 /// Prometheus label-value escaping: backslash, quote, newline.
 std::string prom_label(const std::string& v) {
   std::string out;
@@ -869,31 +852,10 @@ std::string prom_label(const std::string& v) {
   return out;
 }
 
-/// One TimeHistogram as labeled Prometheus histogram series. The base
-/// `# TYPE` line is emitted once by the caller; labels carry the circuit
-/// namespace and the queued/engine leg.
-void prom_time_hist(std::string& os, const std::string& name,
-                    const std::string& labels,
-                    const telemetry::TimeHistogram& h) {
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < telemetry::TimeHistogram::kBoundsUs.size();
-       ++i) {
-    cum += h.bucket(i);
-    os += name + "_bucket{" + labels + ",le=\"" +
-          std::to_string(telemetry::TimeHistogram::kBoundsUs[i]) + "\"} " +
-          std::to_string(cum) + "\n";
-  }
-  cum += h.bucket(telemetry::TimeHistogram::kBuckets - 1);
-  os += name + "_bucket{" + labels + ",le=\"+Inf\"} " +
-        std::to_string(cum) + "\n";
-  os += name + "_sum{" + labels + "} " + std::to_string(h.sum_us()) + "\n";
-  os += name + "_count{" + labels + "} " + std::to_string(h.count()) + "\n";
-}
-
 }  // namespace
 
 double Server::uptime_s() const {
-  return static_cast<double>(prof::monotonic_ns() - start_ns_) * 1e-9;
+  return static_cast<double>(telemetry::monotonic_ns() - start_ns_) * 1e-9;
 }
 
 std::string Server::stats_response(const std::string& id) {
@@ -979,10 +941,12 @@ std::string Server::metrics_response(const std::string& id,
       for (const ResidentPtr& r : residents) {
         const ResidentStats& s = r->stats();
         const std::string lbl = "circuit=\"" + prom_label(r->name()) + "\"";
-        prom_time_hist(body, "waveck_serve_namespace_latency_us",
-                       lbl + ",leg=\"queued\"", s.queued_us);
-        prom_time_hist(body, "waveck_serve_namespace_latency_us",
-                       lbl + ",leg=\"engine\"", s.engine_us);
+        body += telemetry::histogram_prometheus(
+            "waveck_serve_namespace_latency_us", lbl + ",leg=\"queued\"",
+            s.queued_us);
+        body += telemetry::histogram_prometheus(
+            "waveck_serve_namespace_latency_us", lbl + ",leg=\"engine\"",
+            s.engine_us);
       }
     }
     ResponseWriter w = ok_response(id, Op::kMetrics);
@@ -1006,8 +970,8 @@ std::string Server::metrics_response(const std::string& id,
            std::to_string(s.requests.load(std::memory_order_relaxed)) +
            ",\"deduped\":" +
            std::to_string(s.deduped.load(std::memory_order_relaxed)) +
-           ",\"queued_us\":" + time_hist_json(s.queued_us) +
-           ",\"engine_us\":" + time_hist_json(s.engine_us) + "}";
+           ",\"queued_us\":" + telemetry::histogram_json(s.queued_us) +
+           ",\"engine_us\":" + telemetry::histogram_json(s.engine_us) + "}";
   }
   arr += "]";
   w.raw("namespaces", arr);

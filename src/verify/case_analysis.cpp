@@ -8,7 +8,6 @@
 #include "analysis/head_lines.hpp"
 #include "common/flight_recorder.hpp"
 #include "common/telemetry.hpp"
-#include "prof/perf_counters.hpp"
 #include "sim/floating_sim.hpp"
 
 namespace waveck {
@@ -550,7 +549,7 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
       return true;
     }
     if (cs.deadline_hit()) return true;
-    return opt.deadline_ns != 0 && prof::monotonic_ns() >= opt.deadline_ns;
+    return opt.deadline_ns != 0 && telemetry::monotonic_ns() >= opt.deadline_ns;
   };
 
   for (;;) {

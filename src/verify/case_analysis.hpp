@@ -51,7 +51,7 @@ struct CaseAnalysisOptions {
   /// exactly as if the backtrack budget had been exhausted. Polled with a
   /// relaxed load once per search-loop iteration.
   const std::atomic<bool>* cancel = nullptr;
-  /// Absolute monotonic deadline (prof::monotonic_ns clock; 0 = none).
+  /// Absolute monotonic deadline (telemetry::monotonic_ns clock; 0 = none).
   /// Checked alongside `cancel` at every decision boundary — and, through
   /// ConstraintSystem::set_deadline_ns, inside each propagation drain — so
   /// expiry mid-search returns kAbandoned within microseconds.

@@ -105,15 +105,6 @@ class Json {
   bool comma_ = false;
 };
 
-void stage_seconds_body(Json& j, const StageSeconds& s) {
-  j.key("stage_seconds").begin();
-  j.key("narrowing").value(s.narrowing);
-  j.key("gitd").value(s.gitd);
-  j.key("stem").value(s.stem);
-  j.key("case_analysis").value(s.case_analysis);
-  j.end();
-}
-
 void perf_totals_body(Json& j, const prof::CounterTotals& t, bool hw) {
   j.key("wall_ns").value(static_cast<std::size_t>(t.wall_ns));
   if (!hw) return;  // degraded path: wall-clock only, no fake zeros
@@ -127,21 +118,27 @@ void perf_totals_body(Json& j, const prof::CounterTotals& t, bool hw) {
   j.key("branch_misses").value(static_cast<std::size_t>(t.branch_misses));
 }
 
-/// "perf" object: per-stage scaled hardware counters, present only when the
-/// check ran with prof::counters_enabled(). On the degraded path (no PMU,
+/// "stage_seconds" (every stage's wall time), then the "perf" object:
+/// per-stage scaled hardware counters, present only when the check ran
+/// with prof::counters_enabled(). On the degraded path (no PMU,
 /// perf_event_paranoid, containers) the marker flips to "unavailable" and
 /// stages carry wall_ns only.
-void stage_perf_body(Json& j, const StagePerf& p) {
-  if (!p.any()) return;
-  const bool hw = p.total().hw_valid;
-  j.key("perf").begin();
-  j.key("counters").value(hw ? "available" : "unavailable");
-  if (!hw) j.key("reason").value(prof::unavailable_reason());
+void stage_costs_body(Json& j, const StagePerf& p) {
   const std::pair<const char*, const prof::CounterTotals*> stages[] = {
       {"narrowing", &p.narrowing},
       {"gitd", &p.gitd},
       {"stem", &p.stem},
       {"case_analysis", &p.case_analysis}};
+  j.key("stage_seconds").begin();
+  for (const auto& [name, totals] : stages) {
+    j.key(name).value(static_cast<double>(totals->wall_ns) * 1e-9);
+  }
+  j.end();
+  if (!p.any()) return;
+  const bool hw = p.total().hw_valid;
+  j.key("perf").begin();
+  j.key("counters").value(hw ? "available" : "unavailable");
+  if (!hw) j.key("reason").value(prof::unavailable_reason());
   for (const auto& [name, totals] : stages) {
     if (!totals->any()) continue;
     j.key(name).begin();
@@ -165,8 +162,7 @@ void check_body(Json& j, const Circuit& c, const CheckReport& rep) {
   j.key("gitd_rounds").value(rep.gitd_rounds);
   j.key("stems_processed").value(rep.stems_processed);
   j.key("seconds").value(rep.seconds);
-  stage_seconds_body(j, rep.stage_seconds);
-  stage_perf_body(j, rep.stage_perf);
+  stage_costs_body(j, rep.stage_perf);
   j.key("vector");
   if (rep.vector) {
     j.value(format_vector(*rep.vector));
@@ -197,11 +193,16 @@ namespace {
 /// carries wall_ns) is dropped entirely.
 void strip_timing(CheckReport& rep) {
   rep.seconds = 0.0;
-  rep.stage_seconds = StageSeconds{};
   rep.stage_perf = StagePerf{};
 }
 
 }  // namespace
+
+std::string stage_costs_json(const StagePerf& p) {
+  Json j;
+  stage_costs_body(j, p);
+  return j.str();
+}
 
 std::string canonical_json(const Circuit& c, CheckReport rep) {
   strip_timing(rep);
@@ -210,7 +211,6 @@ std::string canonical_json(const Circuit& c, CheckReport rep) {
 
 std::string canonical_json(const Circuit& c, SuiteReport rep) {
   rep.seconds = 0.0;
-  rep.stage_seconds = StageSeconds{};
   rep.stage_perf = StagePerf{};
   for (auto& out : rep.per_output) strip_timing(out);
   return to_json(c, rep, /*include_metrics=*/false);
@@ -230,8 +230,7 @@ std::string to_json(const Circuit& c, const SuiteReport& rep,
   j.end();
   j.key("backtracks").value(rep.backtracks);
   j.key("seconds").value(rep.seconds);
-  stage_seconds_body(j, rep.stage_seconds);
-  stage_perf_body(j, rep.stage_perf);
+  stage_costs_body(j, rep.stage_perf);
   j.key("vector");
   if (rep.vector) {
     j.value(format_vector(*rep.vector));

@@ -33,6 +33,11 @@ namespace waveck {
 [[nodiscard]] std::string canonical_json(const Circuit& c, CheckReport rep);
 [[nodiscard]] std::string canonical_json(const Circuit& c, SuiteReport rep);
 
+/// The per-stage cost members of a report object: `"stage_seconds":{...}`
+/// and, when counters were on for the check, `,"perf":{...}` — no braces
+/// around them, for writers that embed them in their own objects.
+[[nodiscard]] std::string stage_costs_json(const StagePerf& p);
+
 /// JSON for the exact-delay search result.
 [[nodiscard]] std::string to_json(const Circuit& c,
                                   const Verifier::ExactDelayResult& res);

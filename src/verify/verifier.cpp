@@ -8,7 +8,6 @@
 #include "common/flight_recorder.hpp"
 #include "common/telemetry.hpp"
 #include "netlist/topo_delay.hpp"
-#include "prof/perf_counters.hpp"
 #include "prof/span.hpp"
 #include "sim/floating_sim.hpp"
 #include "sim/transition_sim.hpp"
@@ -16,12 +15,6 @@
 
 namespace waveck {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 StageStatus status_of(ConstraintSystem::Status s) {
   return s == ConstraintSystem::Status::kNoViolation
@@ -160,7 +153,7 @@ CheckReport Verifier::run_check(const Circuit& c, Circuit* mutable_c,
   // per-reason cooldown in dump_blackbox keeps a refutation band that blows
   // its budget on every output from writing hundreds of dumps.
   if (rep.conclusion == CheckConclusion::kAbandoned && opt_.deadline_ns != 0 &&
-      prof::monotonic_ns() >= opt_.deadline_ns && flight::blackbox_enabled()) {
+      telemetry::monotonic_ns() >= opt_.deadline_ns && flight::blackbox_enabled()) {
     flight::dump_blackbox("deadline_expired");
   }
   return rep;
@@ -184,7 +177,7 @@ CheckReport Verifier::run_check_stages(
   // concludes kAbandoned with whatever stage statuses it honestly earned.
   const auto deadline_expired = [&] {
     if (opt_.deadline_ns == 0) return false;
-    return cs.deadline_hit() || prof::monotonic_ns() >= opt_.deadline_ns;
+    return cs.deadline_hit() || telemetry::monotonic_ns() >= opt_.deadline_ns;
   };
   if (opt_.use_learning) {
     prof::StageSpan stage("learning", stage_boundary);
@@ -213,8 +206,7 @@ CheckReport Verifier::run_check_stages(
 
   // Stage 1: plain narrowing fixpoint.
   rep.before_gitd = status_of(cs.reach_fixpoint());
-  narrowing.close(to_string(rep.before_gitd), &rep.stage_seconds.narrowing,
-                  &rep.stage_perf.narrowing);
+  narrowing.close(to_string(rep.before_gitd), &rep.stage_perf.narrowing);
   if (rep.before_gitd == StageStatus::kNoViolation) {
     rep.conclusion = CheckConclusion::kNoViolation;
     return rep;
@@ -229,7 +221,7 @@ CheckReport Verifier::run_check_stages(
     prof::StageSpan stage("delay_correlation", stage_boundary);
     const auto stats = apply_delay_correlation(cs, *mutable_c);
     stage.close(stats.proved_no_violation ? "N" : "P",
-                &rep.stage_seconds.narrowing, &rep.stage_perf.narrowing);
+                &rep.stage_perf.narrowing);
     if (stats.proved_no_violation) {
       rep.before_gitd = StageStatus::kNoViolation;
       rep.conclusion = CheckConclusion::kNoViolation;
@@ -266,8 +258,7 @@ CheckReport Verifier::run_check_stages(
         break;
       }
     }
-    stage.close(to_string(rep.after_gitd), &rep.stage_seconds.gitd,
-                &rep.stage_perf.gitd);
+    stage.close(to_string(rep.after_gitd), &rep.stage_perf.gitd);
     if (rep.after_gitd == StageStatus::kNoViolation) {
       rep.conclusion = CheckConclusion::kNoViolation;
       return rep;
@@ -296,8 +287,7 @@ CheckReport Verifier::run_check_stages(
                return true;
            }
          }());
-    stage.close(closed ? "N" : "P", &rep.stage_seconds.stem,
-                &rep.stage_perf.stem);
+    stage.close(closed ? "N" : "P", &rep.stage_perf.stem);
     if (closed) {
       rep.after_stem = StageStatus::kNoViolation;
       rep.conclusion = CheckConclusion::kNoViolation;
@@ -334,7 +324,6 @@ CheckReport Verifier::run_check_stages(
       break;
   }
   case_analysis.close(to_string(rep.conclusion),
-                      &rep.stage_seconds.case_analysis,
                       &rep.stage_perf.case_analysis);
   return rep;
 }
@@ -374,10 +363,6 @@ bool SuiteMerger::add(CheckReport rep) {
   suite_.after_gitd = aggregate(suite_.after_gitd, rep.after_gitd);
   suite_.after_stem = aggregate(suite_.after_stem, rep.after_stem);
   suite_.backtracks += rep.backtracks;
-  suite_.stage_seconds.narrowing += rep.stage_seconds.narrowing;
-  suite_.stage_seconds.gitd += rep.stage_seconds.gitd;
-  suite_.stage_seconds.stem += rep.stage_seconds.stem;
-  suite_.stage_seconds.case_analysis += rep.stage_seconds.case_analysis;
   suite_.stage_perf.add(rep.stage_perf);
 
   if (rep.conclusion == CheckConclusion::kViolation) {
@@ -405,7 +390,7 @@ SuiteReport SuiteMerger::finish(double seconds) && {
 }
 
 SuiteReport Verifier::check_circuit(Time delta) {
-  const auto t0 = Clock::now();
+  const telemetry::StopWatch watch;
   const SuitePlan plan = plan_suite_checks(c_, delta);
   SuiteMerger merger(delta);
   for (std::size_t i = 0; i < plan.order.size(); ++i) {
@@ -414,7 +399,7 @@ SuiteReport Verifier::check_circuit(Time delta) {
                           : check_output(plan.order[i], delta);
     if (!merger.add(std::move(rep))) break;
   }
-  return std::move(merger).finish(seconds_since(t0));
+  return std::move(merger).finish(watch.seconds());
 }
 
 Verifier::ExactDelayResult Verifier::exact_floating_delay() {

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <functional>
 #include <optional>
 #include <string>
@@ -48,10 +47,10 @@ struct VerifyOptions {
   /// property enforces this); off switches every stage to the
   /// from-scratch functions.
   bool use_carrier_cache = true;
-  /// Absolute monotonic deadline for each check (prof::monotonic_ns clock;
-  /// 0 = none). Threaded into the fixpoint drain and the FAN decision loop;
-  /// a check that outlives it concludes kAbandoned (never a wrong verdict —
-  /// expiry only ever abandons). `waveck check --timeout-ms N` and the
+  /// Absolute monotonic deadline for each check (telemetry::monotonic_ns
+  /// clock; 0 = none). Threaded into the fixpoint drain and the FAN decision
+  /// loop; a check that outlives it concludes kAbandoned (never a wrong
+  /// verdict — expiry only ever abandons). `waveck check --timeout-ms N` and the
   /// serve daemon's per-request deadlines both arrive here.
   std::uint64_t deadline_ns = 0;
   CaseAnalysisOptions case_analysis;
@@ -90,25 +89,17 @@ enum class CheckConclusion : std::uint8_t {
   return "?";
 }
 
-/// Wall time spent in each pipeline stage of a check (Table 1's cost
-/// breakdown). Mirrored process-wide in the telemetry registry under the
-/// "stage.*" timers.
-struct StageSeconds {
-  double narrowing = 0.0;      // stage 1 fixpoint (incl. initial domains)
-  double gitd = 0.0;           // stage 2 dominator-implication loop
-  double stem = 0.0;           // stage 3 stem correlation
-  double case_analysis = 0.0;  // stage 4 FAN search
-};
-
-/// Scaled hardware-counter totals per pipeline stage (perf observatory,
-/// src/prof). Slots mirror StageSeconds — delay correlation folds into
-/// narrowing. Empty (any() == false) when prof::counters_enabled() was off
-/// for the check; hw_valid == false on the wall-clock-only degraded path.
+/// The cost of each pipeline stage of a check (Table 1's cost breakdown),
+/// filled by prof::StageSpan::close: `wall_ns` always, the scaled hardware
+/// counters (perf observatory, src/prof) only under
+/// prof::counters_enabled(). Delay correlation folds into narrowing. any()
+/// is false when counters were off for the check; hw_valid == false on the
+/// wall-clock-only degraded path.
 struct StagePerf {
-  prof::CounterTotals narrowing;
-  prof::CounterTotals gitd;
-  prof::CounterTotals stem;
-  prof::CounterTotals case_analysis;
+  prof::CounterTotals narrowing;  // stage 1 fixpoint, initial domains
+  prof::CounterTotals gitd;       // stage 2 dominator-implication loop
+  prof::CounterTotals stem;       // stage 3 stem correlation
+  prof::CounterTotals case_analysis;  // stage 4 FAN search
 
   void add(const StagePerf& o) {
     narrowing.add(o.narrowing);
@@ -149,7 +140,6 @@ struct CheckReport {
   std::size_t correlated_delay_narrowings = 0;
   std::optional<std::vector<bool>> vector;  // indexed like Circuit::inputs()
   double seconds = 0.0;
-  StageSeconds stage_seconds;
   StagePerf stage_perf;
 };
 
@@ -166,8 +156,7 @@ struct SuiteReport {
   std::optional<NetId> violating_output;
   std::vector<CheckReport> per_output;
   double seconds = 0.0;
-  StageSeconds stage_seconds;  // summed over per_output
-  StagePerf stage_perf;        // summed over per_output
+  StagePerf stage_perf;  // summed over per_output
 };
 
 /// The fixed per-suite check order and the outputs STA alone dismisses.
@@ -192,7 +181,7 @@ struct SuitePlan {
 /// the serial `check_circuit` loop and the parallel CheckScheduler merge
 /// through this class, feeding reports strictly in SuitePlan order, so the
 /// aggregate stage statuses, conclusion precedence (V > A > P > N),
-/// backtrack and stage_seconds sums, and the early stop at the first
+/// backtrack and stage cost sums, and the early stop at the first
 /// (lowest-indexed) violating output are identical in both modes.
 class SuiteMerger {
  public:

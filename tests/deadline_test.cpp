@@ -29,7 +29,7 @@ TEST(CancellationDeadline, PollLatchesCancelOnExpiry) {
   EXPECT_FALSE(t.poll());  // unarmed: poll is plain cancelled()
   EXPECT_FALSE(t.cancelled());
 
-  t.arm_deadline(prof::monotonic_ns() + kHourNs);
+  t.arm_deadline(telemetry::monotonic_ns() + kHourNs);
   EXPECT_FALSE(t.poll());  // future deadline: still live
   EXPECT_FALSE(t.cancelled());
 
@@ -86,10 +86,10 @@ TEST(VerifierDeadline, MidSearchExpiryReturnsAbandoned) {
   c.set_uniform_delay(DelaySpec::fixed(10));
 
   Verifier v(c);
-  v.set_deadline_ns(prof::monotonic_ns() + 50'000'000ull);  // +50ms
-  const std::uint64_t t0 = prof::monotonic_ns();
+  v.set_deadline_ns(telemetry::monotonic_ns() + 50'000'000ull);  // +50ms
+  const std::uint64_t t0 = telemetry::monotonic_ns();
   const SuiteReport rep = v.check_circuit(Time(500));
-  const std::uint64_t elapsed = prof::monotonic_ns() - t0;
+  const std::uint64_t elapsed = telemetry::monotonic_ns() - t0;
 
   EXPECT_EQ(rep.conclusion, CheckConclusion::kAbandoned);
   // The deadline must actually have cut the search short (the undeadlined

@@ -154,7 +154,7 @@ TEST(FlightRecorder, DeadlineExpiryWritesBlackboxDump) {
   c.set_uniform_delay(DelaySpec::fixed(10));
   Verifier v(c);
   v.prepare_shared();  // static learning stays out of the 300 ms
-  v.set_deadline_ns(prof::monotonic_ns() + 300'000'000ull);
+  v.set_deadline_ns(telemetry::monotonic_ns() + 300'000'000ull);
   const SuiteReport rep = v.check_circuit(Time(500));
   ASSERT_EQ(rep.conclusion, CheckConclusion::kAbandoned);
 

@@ -18,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "../bench/harness.hpp"
 #include "common/flight_recorder.hpp"
 #include "common/telemetry.hpp"
 #include "gen/generators.hpp"
@@ -103,13 +102,13 @@ TEST(CounterTotals, JsonNeverCarriesNonFiniteRates) {
   // (multiplexed out, or degraded mid-run) must not leak "nan"/"inf"
   // tokens into machine-parseable JSON (`waveck check --counters`,
   // bench_table1 rows).
-  prof::CounterTotals t;
+  StagePerf p;
+  prof::CounterTotals& t = p.narrowing;
   t.wall_ns = 123;
+  t.sections = 1;
   t.instructions = 500;  // ipc denominator (cycles) is zero
   t.cache_misses = 7;    // miss-rate denominator (references) is zero
-  std::ostringstream os;
-  bench::write_counter_totals_json(os, t, /*hw=*/true);
-  const std::string j = os.str();
+  const std::string j = "{" + stage_costs_json(p) + "}";
   EXPECT_EQ(j.find("nan"), std::string::npos) << j;
   EXPECT_EQ(j.find("inf"), std::string::npos) << j;
   EXPECT_TRUE(valid_json(j)) << j;
@@ -119,27 +118,31 @@ TEST(CounterTotals, JsonNeverCarriesNonFiniteRates) {
 
 TEST(CounterTotals, AddSkipsEmptyAndAndsValidity) {
   prof::CounterTotals a;
-  prof::CounterDelta d;
-  d.hw_valid = true;
+  prof::CounterTotals d;  // one counter window
+  d.sections = 1;
   d.cycles = 10;
   d.wall_ns = 5;
   a.add(d);
   EXPECT_TRUE(a.any());
   EXPECT_TRUE(a.hw_valid);
 
-  // An empty totals contributes nothing -- in particular it must not AND
-  // its default hw_valid into a populated accumulator.
-  prof::CounterTotals empty;
-  empty.hw_valid = false;
-  a.add(empty);
+  // A totals without counter windows contributes its wall time only -- in
+  // particular it must not AND its hw_valid into a populated accumulator.
+  prof::CounterTotals wall_only;
+  wall_only.hw_valid = false;
+  wall_only.wall_ns = 2;
+  a.add(wall_only);
   EXPECT_TRUE(a.hw_valid);
   EXPECT_EQ(a.sections, 1u);
+  EXPECT_EQ(a.wall_ns, 7u);
 
-  prof::CounterDelta degraded;  // hw_valid = false
+  prof::CounterTotals degraded;
+  degraded.sections = 1;
+  degraded.hw_valid = false;
   degraded.wall_ns = 3;
   a.add(degraded);
   EXPECT_FALSE(a.hw_valid);
-  EXPECT_EQ(a.wall_ns, 8u);
+  EXPECT_EQ(a.wall_ns, 10u);
   EXPECT_EQ(a.sections, 2u);
 }
 
@@ -147,7 +150,8 @@ TEST(DeltaBetween, WallClockAlwaysValid) {
   prof::CounterSample begin, end;
   begin.monotonic_ns = 100;
   end.monotonic_ns = 350;
-  const prof::CounterDelta d = prof::delta_between(begin, end);
+  const prof::CounterTotals d = prof::delta_between(begin, end);
+  EXPECT_EQ(d.sections, 1u);
   EXPECT_FALSE(d.hw_valid);  // neither sample had hardware data
   EXPECT_EQ(d.wall_ns, 250u);
   EXPECT_EQ(d.cycles, 0u);
@@ -266,8 +270,16 @@ TEST(PerfCounters, RegistryMergeEqualsReportSums) {
       }
     }
 
+    // Every fixpoint drain adds one counter window to "perf.fixpoint".
+    const std::uint64_t fixpoints0 = snap("engine.fixpoints");
+    const std::uint64_t fixpoint_sections0 = snap("perf.fixpoint.sections");
+
     const SuiteReport rep = s.check_circuit(above);
     ASSERT_NE(rep.conclusion, CheckConclusion::kViolation);
+    EXPECT_GT(snap("engine.fixpoints"), fixpoints0) << "jobs=" << jobs;
+    EXPECT_EQ(snap("perf.fixpoint.sections") - fixpoint_sections0,
+              snap("engine.fixpoints") - fixpoints0)
+        << "jobs=" << jobs;
     ASSERT_TRUE(rep.stage_perf.any()) << "jobs=" << jobs;
 
     std::uint64_t delta[5][2];

@@ -106,9 +106,9 @@ TEST(Histogram, BucketBoundaries) {
   EXPECT_EQ(Histogram::bucket_index(8), 4u);
   EXPECT_EQ(Histogram::bucket_index(UINT64_MAX), Histogram::kBuckets - 1);
 
-  EXPECT_EQ(Histogram::bucket_lower_bound(0), 0u);
-  EXPECT_EQ(Histogram::bucket_lower_bound(1), 1u);
-  EXPECT_EQ(Histogram::bucket_lower_bound(4), 8u);
+  EXPECT_EQ(telemetry::Pow2Ladder::lower(0), 0u);
+  EXPECT_EQ(telemetry::Pow2Ladder::lower(1), 1u);
+  EXPECT_EQ(telemetry::Pow2Ladder::lower(4), 8u);
 
   Histogram h;
   h.observe(0);
@@ -182,12 +182,12 @@ TEST(TimeHistogram, BucketBoundariesAreInclusiveUpperBounds) {
             TimeHistogram::kBuckets - 1);
 
   TimeHistogram h;
-  h.observe_us(40);
-  h.observe_us(40);
-  h.observe_us(75);
-  h.observe_us(20'000'000);  // overflow
+  h.observe(40);
+  h.observe(40);
+  h.observe(75);
+  h.observe(20'000'000);  // overflow
   EXPECT_EQ(h.count(), 4u);
-  EXPECT_EQ(h.sum_us(), 40u + 40u + 75u + 20'000'000u);
+  EXPECT_EQ(h.sum(), 40u + 40u + 75u + 20'000'000u);
   EXPECT_EQ(h.bucket(0), 2u);
   EXPECT_EQ(h.bucket(1), 1u);
   EXPECT_EQ(h.bucket(TimeHistogram::kBuckets - 1), 1u);
@@ -199,7 +199,7 @@ TEST(TimeHistogram, ObserveNsDividesToMicroseconds) {
   h.observe_ns(250'999);  // 250 us -> still bucket 2 (<= 250)
   EXPECT_EQ(h.bucket(0), 1u);
   EXPECT_EQ(h.bucket(2), 1u);
-  EXPECT_EQ(h.sum_us(), 49u + 250u);
+  EXPECT_EQ(h.sum(), 49u + 250u);
 }
 
 TEST(TimeHistogram, QuantileInterpolatesAndCapsAtOverflow) {
@@ -209,27 +209,27 @@ TEST(TimeHistogram, QuantileInterpolatesAndCapsAtOverflow) {
   // 100 observations all in bucket (100, 250]: the median of a single full
   // bucket sits at its midpoint under linear rank interpolation.
   TimeHistogram h;
-  for (int i = 0; i < 100; ++i) h.observe_us(200);
+  for (int i = 0; i < 100; ++i) h.observe(200);
   EXPECT_DOUBLE_EQ(h.quantile_us(0.50), 175.0);
   EXPECT_GT(h.quantile_us(0.99), h.quantile_us(0.10));
 
   // Overflow bucket reports its lower bound, never infinity.
   TimeHistogram over;
-  over.observe_us(99'000'000);
+  over.observe(99'000'000);
   EXPECT_DOUBLE_EQ(over.quantile_us(0.5),
-                   static_cast<double>(TimeHistogram::kBoundsUs.back()));
+                   static_cast<double>(telemetry::LatencyLadder::kBoundsUs.back()));
 }
 
 TEST(TimeHistogram, MergeFromAddsBucketsCountAndSum) {
   TimeHistogram a;
   TimeHistogram b;
-  a.observe_us(10);
-  a.observe_us(2'000);
-  b.observe_us(10);
-  b.observe_us(60'000);
+  a.observe(10);
+  a.observe(2'000);
+  b.observe(10);
+  b.observe(60'000);
   a.merge_from(b);
   EXPECT_EQ(a.count(), 4u);
-  EXPECT_EQ(a.sum_us(), 10u + 2'000u + 10u + 60'000u);
+  EXPECT_EQ(a.sum(), 10u + 2'000u + 10u + 60'000u);
   EXPECT_EQ(a.bucket(0), 2u);  // two 10us observations
   EXPECT_EQ(a.bucket(TimeHistogram::bucket_index(2'000)), 1u);
   EXPECT_EQ(a.bucket(TimeHistogram::bucket_index(60'000)), 1u);
@@ -238,7 +238,7 @@ TEST(TimeHistogram, MergeFromAddsBucketsCountAndSum) {
 
   a.reset();
   EXPECT_EQ(a.count(), 0u);
-  EXPECT_EQ(a.sum_us(), 0u);
+  EXPECT_EQ(a.sum(), 0u);
   for (std::size_t i = 0; i < TimeHistogram::kBuckets; ++i) {
     EXPECT_EQ(a.bucket(i), 0u);
   }
@@ -248,8 +248,8 @@ TEST(TimeHistogram, RegistryExposesJsonAndPrometheus) {
   auto& reg = Registry::global();
   auto& th = reg.time_histogram("test.latency_us");
   EXPECT_EQ(&reg.time_histogram("test.latency_us"), &th);
-  th.observe_us(120);
-  th.observe_us(3'000);
+  th.observe(120);
+  th.observe(3'000);
 
   const std::string js = reg.to_json();
   EXPECT_NE(js.find("\"time_histograms\""), std::string::npos);
@@ -264,6 +264,125 @@ TEST(TimeHistogram, RegistryExposesJsonAndPrometheus) {
             std::string::npos);
   EXPECT_NE(prom.find("waveck_test_latency_us_sum"), std::string::npos);
   EXPECT_NE(prom.find("waveck_test_latency_us_count"), std::string::npos);
+}
+
+/// Fixed observations in both bucket ladders (overflow buckets included)
+/// plus a merge_from: the registry's JSON and Prometheus renderings are
+/// pinned byte for byte.
+void fill_golden(Registry& a) {
+  Registry b;
+  a.counter("engine.narrowings").add(42);
+  a.gauge("engine.queue_depth").set(7);
+  a.gauge("engine.queue_depth").set(3);
+  a.timer("stage.gitd").add(2, 1'234'567'891);
+  for (std::uint64_t v : {0ull, 1ull, 3ull, 5ull, 100ull, 1ull << 20}) {
+    a.histogram("engine.narrowing_magnitude").observe(v);
+  }
+  for (std::uint64_t ns :
+       {40'000ull, 75'000ull, 3'000'000ull, 20'000'000'000ull}) {
+    a.time_histogram("serve.latency.queued_us").observe_ns(ns);
+  }
+  b.counter("engine.narrowings").add(8);
+  b.histogram("engine.narrowing_magnitude").observe(2);
+  b.histogram("engine.narrowing_magnitude").observe(7);
+  for (int i = 0; i < 3; ++i) b.histogram("search.conflict_depth").observe(0);
+  b.time_histogram("serve.latency.queued_us").observe_ns(120'000);
+  a.merge_from(b);
+}
+
+TEST(Registry, GoldenJsonBytes) {
+  Registry reg;
+  fill_golden(reg);
+  EXPECT_EQ(reg.to_json(),
+      "{\"counters\":{\"engine.narrowings\":50},\"gauges\":{"
+      "\"engine.queue_depth\":{\"value\":3,\"max\":7}},\"timers\":{"
+      "\"stage.gitd\":{\"calls\":2,\"seconds\":1.23456789}},"
+      "\"histograms\":{\"engine.narrowing_magnitude\":{\"count\":8,"
+      "\"sum\":1048694,\"buckets\":[1,1,2,2,0,0,0,1,0,0,0,0,0,0,0,0,0,"
+      "1],\"p50\":4,\"p90\":78643.2,\"p99\":125829.12},"
+      "\"search.conflict_depth\":{\"count\":3,\"sum\":0,\"buckets\":[3,0,0,"
+      "0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],\"p50\":0,\"p90\":0,\"p99\":0}},"
+      "\"time_histograms\":{\"serve.latency.queued_us\":{\"count\":5,"
+      "\"sum_us\":20003235,\"buckets\":[1,1,1,0,0,0,1,0,0,0,0,0,0,0,0,"
+      "0,1],\"p50_us\":175,\"p90_us\":10000000,\"p99_us\":10000000}}}");
+}
+
+TEST(Registry, GoldenPrometheusBytes) {
+  Registry reg;
+  fill_golden(reg);
+  EXPECT_EQ(reg.to_prometheus("waveck"),
+      "# TYPE waveck_engine_narrowings_total counter\n"
+      "waveck_engine_narrowings_total 50\n"
+      "# TYPE waveck_engine_queue_depth gauge\n"
+      "waveck_engine_queue_depth 3\n"
+      "# TYPE waveck_engine_queue_depth_max gauge\n"
+      "waveck_engine_queue_depth_max 7\n"
+      "# TYPE waveck_stage_gitd_seconds_total counter\n"
+      "waveck_stage_gitd_seconds_total 1.23456789\n"
+      "# TYPE waveck_stage_gitd_calls_total counter\n"
+      "waveck_stage_gitd_calls_total 2\n"
+      "# TYPE waveck_engine_narrowing_magnitude histogram\n"
+      "waveck_engine_narrowing_magnitude_bucket{le=\"0\"} 1\n"
+      "waveck_engine_narrowing_magnitude_bucket{le=\"1\"} 2\n"
+      "waveck_engine_narrowing_magnitude_bucket{le=\"3\"} 4\n"
+      "waveck_engine_narrowing_magnitude_bucket{le=\"7\"} 6\n"
+      "waveck_engine_narrowing_magnitude_bucket{le=\"15\"} 6\n"
+      "waveck_engine_narrowing_magnitude_bucket{le=\"31\"} 6\n"
+      "waveck_engine_narrowing_magnitude_bucket{le=\"63\"} 6\n"
+      "waveck_engine_narrowing_magnitude_bucket{le=\"127\"} 7\n"
+      "waveck_engine_narrowing_magnitude_bucket{le=\"255\"} 7\n"
+      "waveck_engine_narrowing_magnitude_bucket{le=\"511\"} 7\n"
+      "waveck_engine_narrowing_magnitude_bucket{le=\"1023\"} 7\n"
+      "waveck_engine_narrowing_magnitude_bucket{le=\"2047\"} 7\n"
+      "waveck_engine_narrowing_magnitude_bucket{le=\"4095\"} 7\n"
+      "waveck_engine_narrowing_magnitude_bucket{le=\"8191\"} 7\n"
+      "waveck_engine_narrowing_magnitude_bucket{le=\"16383\"} 7\n"
+      "waveck_engine_narrowing_magnitude_bucket{le=\"32767\"} 7\n"
+      "waveck_engine_narrowing_magnitude_bucket{le=\"65535\"} 7\n"
+      "waveck_engine_narrowing_magnitude_bucket{le=\"+Inf\"} 8\n"
+      "waveck_engine_narrowing_magnitude_sum 1048694\n"
+      "waveck_engine_narrowing_magnitude_count 8\n"
+      "# TYPE waveck_search_conflict_depth histogram\n"
+      "waveck_search_conflict_depth_bucket{le=\"0\"} 3\n"
+      "waveck_search_conflict_depth_bucket{le=\"1\"} 3\n"
+      "waveck_search_conflict_depth_bucket{le=\"3\"} 3\n"
+      "waveck_search_conflict_depth_bucket{le=\"7\"} 3\n"
+      "waveck_search_conflict_depth_bucket{le=\"15\"} 3\n"
+      "waveck_search_conflict_depth_bucket{le=\"31\"} 3\n"
+      "waveck_search_conflict_depth_bucket{le=\"63\"} 3\n"
+      "waveck_search_conflict_depth_bucket{le=\"127\"} 3\n"
+      "waveck_search_conflict_depth_bucket{le=\"255\"} 3\n"
+      "waveck_search_conflict_depth_bucket{le=\"511\"} 3\n"
+      "waveck_search_conflict_depth_bucket{le=\"1023\"} 3\n"
+      "waveck_search_conflict_depth_bucket{le=\"2047\"} 3\n"
+      "waveck_search_conflict_depth_bucket{le=\"4095\"} 3\n"
+      "waveck_search_conflict_depth_bucket{le=\"8191\"} 3\n"
+      "waveck_search_conflict_depth_bucket{le=\"16383\"} 3\n"
+      "waveck_search_conflict_depth_bucket{le=\"32767\"} 3\n"
+      "waveck_search_conflict_depth_bucket{le=\"65535\"} 3\n"
+      "waveck_search_conflict_depth_bucket{le=\"+Inf\"} 3\n"
+      "waveck_search_conflict_depth_sum 0\n"
+      "waveck_search_conflict_depth_count 3\n"
+      "# TYPE waveck_serve_latency_queued_us histogram\n"
+      "waveck_serve_latency_queued_us_bucket{le=\"50\"} 1\n"
+      "waveck_serve_latency_queued_us_bucket{le=\"100\"} 2\n"
+      "waveck_serve_latency_queued_us_bucket{le=\"250\"} 3\n"
+      "waveck_serve_latency_queued_us_bucket{le=\"500\"} 3\n"
+      "waveck_serve_latency_queued_us_bucket{le=\"1000\"} 3\n"
+      "waveck_serve_latency_queued_us_bucket{le=\"2500\"} 3\n"
+      "waveck_serve_latency_queued_us_bucket{le=\"5000\"} 4\n"
+      "waveck_serve_latency_queued_us_bucket{le=\"10000\"} 4\n"
+      "waveck_serve_latency_queued_us_bucket{le=\"25000\"} 4\n"
+      "waveck_serve_latency_queued_us_bucket{le=\"50000\"} 4\n"
+      "waveck_serve_latency_queued_us_bucket{le=\"100000\"} 4\n"
+      "waveck_serve_latency_queued_us_bucket{le=\"250000\"} 4\n"
+      "waveck_serve_latency_queued_us_bucket{le=\"500000\"} 4\n"
+      "waveck_serve_latency_queued_us_bucket{le=\"1000000\"} 4\n"
+      "waveck_serve_latency_queued_us_bucket{le=\"2500000\"} 4\n"
+      "waveck_serve_latency_queued_us_bucket{le=\"10000000\"} 4\n"
+      "waveck_serve_latency_queued_us_bucket{le=\"+Inf\"} 5\n"
+      "waveck_serve_latency_queued_us_sum 20003235\n"
+      "waveck_serve_latency_queued_us_count 5\n");
 }
 
 TEST(Registry, MetricsPersistAndSnapshotIsJson) {
@@ -468,8 +587,8 @@ TEST(TraceParity, StageTimersCoverCheckSeconds) {
   c.set_uniform_delay(DelaySpec::fixed(10));
   Verifier v(c);
   const auto rep = v.check_output(*c.find_net("cout"), Time(1));
-  const auto& s = rep.stage_seconds;
-  const double staged = s.narrowing + s.gitd + s.stem + s.case_analysis;
+  const double staged =
+      static_cast<double>(rep.stage_perf.total().wall_ns) * 1e-9;
   EXPECT_GT(staged, 0.0);
   // The stage breakdown can't exceed the whole check's wall time.
   EXPECT_LE(staged, rep.seconds + 1e-3);

@@ -174,7 +174,7 @@ int cmd_check(const Circuit& c, const std::string& delta_str,
   // outlive it conclude kAbandoned (exit code 3: nothing proven).
   const std::uint64_t deadline =
       timeout_ms == 0 ? 0
-                      : prof::monotonic_ns() + timeout_ms * 1'000'000ull;
+                      : telemetry::monotonic_ns() + timeout_ms * 1'000'000ull;
   Verifier v(c);
   v.set_deadline_ns(deadline);
   if (!out_name.empty()) {
@@ -375,7 +375,7 @@ int cmd_profile(const Circuit& c, std::string out, double min_seconds) {
   // Keep both halves of the pipeline hot until the sampling budget is
   // spent: delta*+1 drives learning/narrowing/gitd/stem to completion,
   // delta* forces the FAN case analysis to rediscover the witness.
-  const std::uint64_t t0 = prof::monotonic_ns();
+  const std::uint64_t t0 = telemetry::monotonic_ns();
   const auto budget_ns = static_cast<std::uint64_t>(min_seconds * 1e9);
   std::size_t rounds = 0;
   if (res.delay.is_finite()) {
@@ -383,7 +383,7 @@ int cmd_profile(const Circuit& c, std::string out, double min_seconds) {
       (void)s.check_circuit(Time(res.delay.value() + 1));
       (void)s.check_circuit(res.delay);
       ++rounds;
-    } while (prof::monotonic_ns() - t0 < budget_ns);
+    } while (telemetry::monotonic_ns() - t0 < budget_ns);
   }
   std::cout << "exact floating delay: " << res.delay << " (topological "
             << res.topological << ", " << rounds << " profile rounds)\n";

@@ -29,7 +29,7 @@ ImplicationTable::ImplicationTable(std::size_t num_nets,
 ConstraintSystem::ConstraintSystem(const Circuit& circuit)
     : circuit_(circuit),
       domains_(circuit.num_nets()),
-      gate_level_(circuit.num_gates(), 0),
+      gate_level_(longest_path_levels(circuit)),
       save_epoch_(circuit.num_nets(), 0),
       reg_(telemetry::Registry::current()),
       ctr_fixpoints_(reg_.counter("engine.fixpoints")),
@@ -43,15 +43,6 @@ ConstraintSystem::ConstraintSystem(const Circuit& circuit)
       g_trail_depth_(reg_.gauge("engine.trail_depth")),
       g_queue_depth_(reg_.gauge("engine.queue_depth")),
       g_arena_bytes_(reg_.gauge("engine.arena_bytes")) {
-  // Longest-path gate levels: level(g) = 1 + max level over driven inputs.
-  for (GateId g : circuit.topo_order()) {
-    std::uint32_t lv = 0;
-    for (NetId in : circuit.gate(g).ins) {
-      const GateId drv = circuit.net(in).driver;
-      if (drv.valid()) lv = std::max(lv, gate_level_[drv.index()] + 1);
-    }
-    gate_level_[g.index()] = lv;
-  }
   plan_.build(circuit, gate_level_);
   slot_queued_.assign(circuit.num_gates());
   level_count_.assign(plan_.num_levels, 0);
@@ -108,6 +99,8 @@ void ConstraintSystem::commit_domain(NetId n, const AbstractSignal& value) {
       !was_single) {
     const bool v = nd.the_class();
     for (const auto& [x, w] : implications_->of(n, v)) {
+      // Class !w already gone: the commit would leave the domain as is.
+      if (domains_[x.index()].cls(!w).is_empty()) continue;
       commit_domain(x, AbstractSignal::class_only(w));
     }
   }

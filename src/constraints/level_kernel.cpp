@@ -5,6 +5,19 @@
 
 namespace waveck {
 
+std::vector<std::uint32_t> longest_path_levels(const Circuit& c) {
+  std::vector<std::uint32_t> level(c.num_gates(), 0);
+  for (GateId g : c.topo_order()) {
+    std::uint32_t lv = 0;
+    for (NetId in : c.gate(g).ins) {
+      const GateId drv = c.net(in).driver;
+      if (drv.valid()) lv = std::max(lv, level[drv.index()] + 1);
+    }
+    level[g.index()] = lv;
+  }
+  return level;
+}
+
 void LevelPlan::build(const Circuit& c,
                       const std::vector<std::uint32_t>& gate_level) {
   const std::size_t ng = c.num_gates();

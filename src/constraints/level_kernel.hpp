@@ -18,6 +18,10 @@
 
 namespace waveck {
 
+/// Longest-path gate levels: a gate driven only by primary inputs is at
+/// level 0, every other gate one above its highest driver.
+[[nodiscard]] std::vector<std::uint32_t> longest_path_levels(const Circuit& c);
+
 struct LevelPlan {
   std::vector<std::uint32_t> slot_of_gate;  // gate index -> slot
   std::vector<std::uint32_t> level_begin;   // level -> first slot (n+1 ents)

@@ -47,8 +47,9 @@ int usage(std::ostream& err) {
          "                      (needs --circuit; witness path in red)\n"
          "  --circuit FILE      .bench/.v the trace was produced from\n"
          "  --delays FILE       delay annotation for --circuit\n"
-         "  --canon             strip \"t\"/\"seq\" and print the trace to\n"
-         "                      stdout (byte-stable; for same-seed diffs)\n"
+         "  --canon             strip wall-clock fields and heartbeats and\n"
+         "                      print the trace to stdout (byte-stable; for\n"
+         "                      same-seed diffs)\n"
          "exit: 0 clean, 1 trace has structural warnings, 2 usage/IO error\n";
   return 2;
 }
@@ -72,10 +73,18 @@ int run_canon(const Options& opt, std::ostream& out, std::ostream& err) {
     err << "error: cannot open " << opt.trace_path << "\n";
     return 2;
   }
-  static constexpr std::array<std::string_view, 2> kStrip = {"t", "seq"};
+  // Every wall-clock field of the trace schema: the stamps, check_end's
+  // duration, and the rates and ages the heartbeat and watchdog report.
+  // Heartbeat and watchdog lines are dropped whole: wall time decides how
+  // many there are.
+  static constexpr std::array<std::string_view, 6> kStrip = {
+      "t", "seq", "seconds", "elapsed_s", "gate_evals_per_s", "stalled_s"};
   TraceReader reader(in);
   TraceEvent e;
-  while (reader.next(e)) out << canonical_line(e, kStrip) << "\n";
+  while (reader.next(e)) {
+    if (e.ev == "heartbeat" || e.ev == "watchdog_stall") continue;
+    out << canonical_line(e, kStrip) << "\n";
+  }
   if (!reader.error().empty()) {
     err << "error: " << reader.error() << "\n";
     return 2;

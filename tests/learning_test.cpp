@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "constraints/projection.hpp"
 #include "gen/generators.hpp"
 #include "gen/iscas_suite.hpp"
 #include "netlist/transforms.hpp"
@@ -25,6 +28,7 @@ struct OracleLearning {
   std::unordered_set<std::uint64_t> direct;  // pair keys of derived facts
   std::vector<std::pair<NetId, bool>> impossible;
   std::size_t derived = 0;
+  std::size_t probed_nets = 0;
 };
 
 std::uint64_t oracle_key(NetId y, bool v) {
@@ -47,6 +51,7 @@ OracleLearning oracle_learn(const Circuit& c, const LearningOptions& opt) {
   };
   for (NetId y : c.all_nets()) {
     if (res.derived >= opt.max_implications) break;
+    ++res.probed_nets;
     for (int v = 0; v <= 1; ++v) {
       const bool vy = v != 0;
       const auto mark = cs.push_state();
@@ -88,11 +93,12 @@ oracle_kept(const OracleLearning& o) {
 }
 
 /// Same kept consequences in the same order for every literal, same
-/// counters. Returns the number of derived facts.
-std::size_t expect_matches_oracle(const Circuit& c, const LearningOptions& opt,
-                                  const std::string& label) {
+/// counters. Returns the oracle's tallies.
+OracleLearning expect_matches_oracle(const Circuit& c,
+                                     const LearningOptions& opt,
+                                     const std::string& label) {
   const LearningResult got = learn_implications(c, opt);
-  const OracleLearning want = oracle_learn(c, opt);
+  OracleLearning want = oracle_learn(c, opt);
   const auto kept = oracle_kept(want);
   std::size_t kept_size = 0;
   for (const auto& [lit, cons] : kept) kept_size += cons.size();
@@ -113,7 +119,7 @@ std::size_t expect_matches_oracle(const Circuit& c, const LearningOptions& opt,
     }
   }
   EXPECT_EQ(mismatched, 0u) << label << ": literals whose consequences differ";
-  return got.derived;
+  return want;
 }
 
 /// Decides `cls` of `n` on both systems and drains them; the pruned table
@@ -315,6 +321,9 @@ TEST(Learning, MatchesHashSetOracleOnSuite) {
 }
 
 TEST(Learning, MatchesHashSetOracleOnRandomCircuits) {
+  // A batch probes 32 nets (64 literals); most of these circuits end
+  // inside one.
+  std::size_t partial = 0;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     gen::StructuredCircuitConfig rc;
     rc.inputs = 14;
@@ -324,18 +333,277 @@ TEST(Learning, MatchesHashSetOracleOnRandomCircuits) {
     rc.seed = seed;
     const Circuit raw = gen::structured_random_circuit(rc);
     const std::string label = "seed " + std::to_string(seed);
-    expect_matches_oracle(map_to_nor(decompose_for_solver(raw)), {}, label);
-    expect_matches_oracle(decompose_for_solver(raw), {}, label + " unmapped");
+    for (const Circuit& c :
+         {map_to_nor(decompose_for_solver(raw)), decompose_for_solver(raw)}) {
+      partial += c.num_nets() % 32 != 0 ? 1 : 0;
+      expect_matches_oracle(c, {}, label + " nets " +
+                                       std::to_string(c.num_nets()));
+    }
+  }
+  EXPECT_GT(partial, 12u);
+}
+
+TEST(Learning, MatchesHashSetOracleOnXorMuxHeavyCircuits) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    gen::StructuredCircuitConfig rc;
+    rc.inputs = 9 + static_cast<unsigned>(seed % 5);
+    rc.gates = 40 + static_cast<unsigned>(seed * 7 % 31);
+    rc.outputs = 3;
+    rc.w_and = rc.w_or = rc.w_nand = rc.w_nor = 1;
+    rc.w_xor = 6;
+    rc.w_xnor = 4;
+    rc.w_mux = 5;
+    rc.false_path_blocks = seed % 3;
+    rc.seed = seed;
+    const Circuit raw = gen::structured_random_circuit(rc);
+    const std::string label = "xor/mux seed " + std::to_string(seed);
+    expect_matches_oracle(decompose_for_solver(raw), {}, label);
+    expect_matches_oracle(map_to_nor(decompose_for_solver(raw)), {},
+                          label + " mapped");
+  }
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    gen::RandomCircuitConfig rc;
+    rc.inputs = 6;
+    rc.gates = 20 + static_cast<unsigned>(seed * 13 % 50);
+    rc.seed = seed;
+    rc.with_mux = true;
+    expect_matches_oracle(decompose_for_solver(gen::random_circuit(rc)), {},
+                          "random mux seed " + std::to_string(seed));
+  }
+}
+
+TEST(Learning, MatchesHashSetOracleWithRepeatedPins) {
+  // A gate that reads one net on two pins treats them as two variables of
+  // its relation, as project_gate does, and the learner does not
+  // re-evaluate a gate after its own narrowing: intersecting the pins
+  // keeps a support for every surviving class. Inputs drawn only from the
+  // newest two nets make such gates common.
+  Circuit c("repeat");
+  const NetId a = c.add_net("a"), b = c.add_net("b");
+  const NetId x = c.add_net("x"), y = c.add_net("y"), z = c.add_net("z");
+  c.declare_input(a);
+  c.declare_input(b);
+  c.add_gate(GateType::kXor, x, {a, a});
+  c.add_gate(GateType::kAnd, y, {b, b});
+  c.add_gate(GateType::kMux, z, {y, x, y});
+  c.declare_output(z);
+  c.finalize();
+  expect_matches_oracle(c, {}, "repeated pins");
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    gen::StructuredCircuitConfig rc;
+    rc.inputs = 4;
+    rc.gates = 50;
+    rc.outputs = 3;
+    rc.reconvergence_percent = 100;
+    rc.recent_window = 2;
+    rc.w_mux = 3;
+    rc.seed = seed;
+    expect_matches_oracle(decompose_for_solver(gen::structured_random_circuit(rc)),
+                          {}, "narrow window seed " + std::to_string(seed));
   }
 }
 
 TEST(Learning, MatchesHashSetOracleUnderImplicationCap) {
-  for (const std::size_t cap : {1u, 100u, 5000u}) {
-    LearningOptions opt;
-    opt.max_implications = cap;
-    const Circuit c = gen::prepare_for_experiment(gen::build_raw("c880"));
-    EXPECT_GE(expect_matches_oracle(c, opt, "cap " + std::to_string(cap)), cap);
+  const Circuit c880 = gen::prepare_for_experiment(gen::build_raw("c880"));
+  gen::StructuredCircuitConfig rc;
+  rc.inputs = 12;
+  rc.gates = 90;
+  rc.w_xor = 5;
+  rc.w_mux = 3;
+  rc.seed = 3;
+  const Circuit xm = decompose_for_solver(gen::structured_random_circuit(rc));
+  std::size_t mid_batch = 0;
+  for (const Circuit* c : {&c880, &xm}) {
+    for (const std::size_t cap : {1u, 7u, 100u, 333u, 1000u, 5000u, 12345u}) {
+      LearningOptions opt;
+      opt.max_implications = cap;
+      const OracleLearning o =
+          expect_matches_oracle(*c, opt, "cap " + std::to_string(cap));
+      if (o.probed_nets < c->num_nets()) {
+        EXPECT_GE(o.derived, cap);
+        mid_batch += o.probed_nets % 32 != 0 ? 1 : 0;
+      }
+    }
   }
+  EXPECT_GT(mid_batch, 3u) << "caps that stop probing inside a batch";
+}
+
+TEST(Learning, NetCountGuardMatchesOracle) {
+  const Circuit c = gen::prepare_for_experiment(gen::build_raw("c432"));
+  LearningOptions opt;
+  opt.max_nets = c.num_nets();  // at the guard: learns
+  EXPECT_GT(expect_matches_oracle(c, opt, "at guard").derived, 0u);
+  opt.max_nets = c.num_nets() - 1;  // over it: nothing
+  EXPECT_EQ(expect_matches_oracle(c, opt, "over guard").derived, 0u);
+}
+
+/// One class set per pin, pin 0 the output: bit v set iff class v allowed.
+using ClassSets = std::vector<unsigned>;
+
+AbstractSignal signal_of(unsigned set) {
+  AbstractSignal s;
+  for (const bool v : {false, true}) {
+    if (((set >> (v ? 1 : 0)) & 1) == 0) s.cls(v) = LtInterval::empty();
+  }
+  return s;
+}
+
+unsigned set_of(const AbstractSignal& s) {
+  return (s.cls(false).is_empty() ? 0u : 1u) | (s.cls(true).is_empty() ? 0u : 2u);
+}
+
+/// `project_gate` applied until nothing changes. Nullopt when some pin
+/// empties; otherwise the class sets, after checking every interval
+/// stayed top or empty.
+std::optional<ClassSets> projected(GateType type, DelaySpec delay,
+                                   const ClassSets& sets) {
+  AbstractSignal out = signal_of(sets[0]);
+  std::vector<AbstractSignal> ins;
+  for (std::size_t i = 1; i < sets.size(); ++i) ins.push_back(signal_of(sets[i]));
+  while (project_gate(type, delay, out, ins).any()) {
+  }
+  ClassSets res{set_of(out)};
+  for (const AbstractSignal& in : ins) res.push_back(set_of(in));
+  for (const AbstractSignal& s : ins) {
+    for (const bool v : {false, true}) {
+      EXPECT_TRUE(s.cls(v).is_empty() || s.cls(v).is_top());
+    }
+  }
+  for (const bool v : {false, true}) {
+    EXPECT_TRUE(out.cls(v).is_empty() || out.cls(v).is_top());
+  }
+  if (std::find(res.begin(), res.end(), 0u) != res.end()) return std::nullopt;
+  return res;
+}
+
+/// Boolean generalized arc consistency by enumeration: a class survives
+/// iff some full assignment of the gate supports it.
+std::optional<ClassSets> enumerated(GateType type, const ClassSets& sets) {
+  const std::size_t n = sets.size() - 1;
+  ClassSets res(sets.size(), 0);
+  std::vector<bool> in(n);
+  for (std::uint64_t a = 0; a < (std::uint64_t{1} << n); ++a) {
+    bool ok = true;
+    for (std::size_t i = 0; i < n; ++i) {
+      in[i] = ((a >> i) & 1) != 0;
+      ok = ok && ((sets[i + 1] >> (in[i] ? 1 : 0)) & 1) != 0;
+    }
+    const bool o = eval_gate(type, in);
+    if (!ok || ((sets[0] >> (o ? 1 : 0)) & 1) == 0) continue;
+    res[0] |= o ? 2u : 1u;
+    for (std::size_t i = 0; i < n; ++i) res[i + 1] |= in[i] ? 2u : 1u;
+  }
+  if (std::find(res.begin(), res.end(), 0u) != res.end()) return std::nullopt;
+  return res;
+}
+
+/// Runs `combos` through narrow_gate_classes 64 lanes at a time and
+/// compares each lane with `want(combo)` (nullopt: the lane must lose
+/// both classes of some pin).
+template <class Want>
+void expect_rule(GateType type, const std::vector<ClassSets>& combos,
+                 Want&& want, const std::string& label) {
+  const std::size_t pins = combos.front().size();
+  std::size_t wrong = 0;
+  for (std::size_t base = 0; base < combos.size(); base += 64) {
+    const std::size_t lanes = std::min<std::size_t>(64, combos.size() - base);
+    std::vector<ClassMasks> m(pins, ClassMasks{{0, 0}});
+    for (std::size_t l = 0; l < lanes; ++l) {
+      for (std::size_t p = 0; p < pins; ++p) {
+        for (std::size_t v = 0; v < 2; ++v) {
+          m[p].can[v] |= std::uint64_t{(combos[base + l][p] >> v) & 1u} << l;
+        }
+      }
+    }
+    narrow_gate_classes(type, m[0], std::span<ClassMasks>(m).subspan(1));
+    for (std::size_t l = 0; l < lanes; ++l) {
+      ClassSets got(pins);
+      bool dead = false;
+      for (std::size_t p = 0; p < pins; ++p) {
+        got[p] = static_cast<unsigned>(((m[p].can[0] >> l) & 1) |
+                                       (((m[p].can[1] >> l) & 1) << 1));
+        dead = dead || got[p] == 0;
+      }
+      const std::optional<ClassSets> w = want(combos[base + l]);
+      wrong += (w ? !dead && got == *w : dead) ? 0 : 1;
+    }
+  }
+  EXPECT_EQ(wrong, 0u) << label << ": lanes that differ";
+}
+
+std::vector<ClassSets> every_combo(std::size_t pins) {
+  std::vector<ClassSets> all{{}};
+  for (std::size_t p = 0; p < pins; ++p) {
+    std::vector<ClassSets> next;
+    for (const ClassSets& prefix : all) {
+      for (const unsigned set : {1u, 2u, 3u}) {
+        next.push_back(prefix);
+        next.back().push_back(set);
+      }
+    }
+    all = std::move(next);
+  }
+  return all;
+}
+
+TEST(Learning, BitwiseRulesEqualProjectionFixpoint) {
+  struct Case {
+    GateType type;
+    std::size_t lo, hi;  // arities project_gate takes
+  };
+  for (const Case& k : {Case{GateType::kAnd, 1, 4}, Case{GateType::kNand, 1, 4},
+                        Case{GateType::kOr, 1, 4}, Case{GateType::kNor, 1, 4},
+                        Case{GateType::kXor, 2, 2}, Case{GateType::kXnor, 2, 2},
+                        Case{GateType::kNot, 1, 1}, Case{GateType::kBuf, 1, 1},
+                        Case{GateType::kDelay, 1, 1}, Case{GateType::kMux, 3, 3}}) {
+    for (std::size_t arity = k.lo; arity <= k.hi; ++arity) {
+      const std::string label =
+          std::string(to_string(k.type)) + "/" + std::to_string(arity);
+      const auto combos = every_combo(arity + 1);
+      for (const DelaySpec d : {DelaySpec::fixed(10), DelaySpec{2, 7}}) {
+        expect_rule(k.type, combos,
+                    [&](const ClassSets& s) { return projected(k.type, d, s); },
+                    label);
+      }
+      expect_rule(k.type, combos,
+                  [&](const ClassSets& s) { return enumerated(k.type, s); },
+                  label + " enumerated");
+    }
+  }
+  // Wide parity, which project_gate leaves to decomposition.
+  for (const GateType t : {GateType::kXor, GateType::kXnor}) {
+    for (std::size_t arity = 1; arity <= 4; ++arity) {
+      expect_rule(t, every_combo(arity + 1),
+                  [&](const ClassSets& s) { return enumerated(t, s); },
+                  std::string(to_string(t)) + "/" + std::to_string(arity));
+    }
+  }
+}
+
+TEST(Learning, BitwiseRuleEqualsProjectionOnWideNor) {
+  // 33 pins: seeded samples, mostly both classes, plus every single-pin
+  // restriction.
+  std::vector<ClassSets> combos;
+  for (std::size_t p = 0; p <= kMaxGateFanin; ++p) {
+    for (const unsigned set : {1u, 2u}) {
+      combos.emplace_back(kMaxGateFanin + 1, 3u);
+      combos.back()[p] = set;
+    }
+  }
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 64 * 40; ++i) {
+    ClassSets s(kMaxGateFanin + 1);
+    const unsigned narrow = static_cast<unsigned>(rng() % 8);
+    for (unsigned& set : s) {
+      set = rng() % 8 < narrow ? 1u + static_cast<unsigned>(rng() % 2) : 3u;
+    }
+    combos.push_back(std::move(s));
+  }
+  expect_rule(GateType::kNor, combos,
+              [](const ClassSets& s) {
+                return projected(GateType::kNor, DelaySpec::fixed(10), s);
+              },
+              "NOR/32");
 }
 
 TEST(Learning, PrunedTableReachesTheSameFixpoint) {

@@ -17,6 +17,10 @@
 #include "verify/report_io.hpp"
 #include "verify/verifier.hpp"
 
+#ifndef WAVECK_SOURCE_ID
+#define WAVECK_SOURCE_ID "unknown"  // set per target by bench/CMakeLists.txt
+#endif
+
 namespace waveck::bench {
 
 inline void print_row(const std::vector<std::string>& cells,
@@ -201,7 +205,8 @@ inline void append_history(const std::string& path,
 
   std::ofstream os(path, std::ios::app);
   if (!os) throw std::runtime_error("cannot open " + path);
-  os << "{\"bench\":\"table1\",\"ts\":\"" << ts << "\",\"quick\":"
+  os << "{\"bench\":\"table1\",\"ts\":\"" << ts << "\",\"commit\":\""
+     << WAVECK_SOURCE_ID << "\",\"quick\":"
      << (quick ? "true" : "false") << ",\"rows\":" << rows.size()
      << ",\"total_seconds\":" << total_seconds
      << ",\"total_backtracks\":" << total_backtracks;

@@ -248,8 +248,10 @@ struct Buf {
 };
 
 constexpr const char* kWords[] = {
-    "exhausted", "witness", "abandoned", "truncated", "refuted",
-    "one_sided", "both",    "hit",       "miss",      "dom_rebuild"};
+    "exhausted", "witness",   "abandoned", "truncated", "restart",
+    "refuted",   "one_sided", "both",      "hit",       "miss",
+    "dom_rebuild"};
+static_assert(std::size(kWords) == kDomRebuild + 1, "one name per Word");
 
 std::string_view word(std::uint8_t code) {
   return code < std::size(kWords) ? kWords[code] : "?";

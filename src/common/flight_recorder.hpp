@@ -76,9 +76,11 @@ enum class Kind : std::uint8_t {
 };
 
 /// Enumerated words carried in Record::aux: decision_close outcomes
-/// (kTruncated only in dump tails), stem outcomes and cache kinds.
+/// (kTruncated only in dump tails; kRestart closes the decisions of a
+/// search pass that stopped at its first conflict), stem outcomes and cache
+/// kinds.
 enum Word : std::uint8_t {
-  kExhausted, kWitness, kAbandoned, kTruncated,
+  kExhausted, kWitness, kAbandoned, kTruncated, kRestart,
   kRefuted, kOneSided, kBoth,
   kHit, kMiss, kDomRebuild,
 };

@@ -247,8 +247,9 @@ class Analyzer {
     }
     d->close = e.str("outcome");
     d->t_close = e.t;
-    if (d->close == "exhausted") {
-      // Whatever ran since the last flip failed too: both branches wasted.
+    if (d->close == "exhausted" || d->close == "restart") {
+      // Whatever ran since the last flip failed too (or, on a restart, was
+      // thrown away with the whole first search pass): wasted.
       d->wasted_gate_evals += take_branch(oc, d->id);
     } else {
       oc.branch_evals.erase(d->id);

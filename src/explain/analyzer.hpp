@@ -44,7 +44,7 @@ struct DecisionNode {
   std::int64_t t_open = -1;
   std::int64_t t_close = -1;
   bool backtracked = false;  // first branch failed and was flipped
-  std::string close;         // "exhausted" | "witness" | "abandoned" | ""
+  std::string close;  // "exhausted" | "witness" | "abandoned" | "restart" | ""
 
   std::uint64_t gate_evals = 0;
   std::uint64_t narrowings = 0;
@@ -52,7 +52,8 @@ struct DecisionNode {
   std::uint64_t conflicts = 0;
   std::uint64_t spurious = 0;
   /// Direct work spent under branches of this decision that failed (moved
-  /// from the running branch accumulator on backtrack / exhausted close).
+  /// from the running branch accumulator on backtrack / exhausted or
+  /// restart close).
   std::uint64_t wasted_gate_evals = 0;
 
   std::vector<std::int64_t> children;
@@ -95,7 +96,8 @@ struct CheckTree {
   [[nodiscard]] std::uint64_t total_gate_evals() const;
   [[nodiscard]] std::uint64_t wasted_gate_evals() const;
   /// Fraction of this check's gate evaluations spent under decision
-  /// branches that were subsequently backtracked or exhausted.
+  /// branches that were subsequently backtracked, exhausted or discarded by
+  /// a restart.
   [[nodiscard]] double wasted_ratio() const;
 };
 

@@ -158,21 +158,33 @@ void text_report(const TraceAnalysis& a, const Options& opt,
   out << "\n\n";
 
   // ---- stage waterfall (totals across checks) -----------------------------
+  // A stage may open more than once in a check (case analysis runs a second
+  // pass after stems): its spans sum to one per-check sample.
   struct StageTotal {
     double seconds = 0.0;
     std::vector<double> samples;  // per-check durations, for exact quantiles
   };
   std::vector<std::pair<std::string, StageTotal>> stage_order;
   for (const CheckTree& c : a.checks) {
+    std::vector<std::pair<std::string_view, double>> per_check;
     for (const StageSpan& s : c.stages) {
-      auto it = std::find_if(stage_order.begin(), stage_order.end(),
+      auto it = std::find_if(per_check.begin(), per_check.end(),
                              [&](const auto& p) { return p.first == s.stage; });
+      if (it == per_check.end()) {
+        per_check.emplace_back(s.stage, s.seconds());
+      } else {
+        it->second += s.seconds();
+      }
+    }
+    for (const auto& [stage, seconds] : per_check) {
+      auto it = std::find_if(stage_order.begin(), stage_order.end(),
+                             [&](const auto& p) { return p.first == stage; });
       if (it == stage_order.end()) {
-        stage_order.push_back({s.stage, {}});
+        stage_order.push_back({std::string(stage), {}});
         it = std::prev(stage_order.end());
       }
-      it->second.seconds += s.seconds();
-      it->second.samples.push_back(s.seconds());
+      it->second.seconds += seconds;
+      it->second.samples.push_back(seconds);
     }
   }
   // Exact order-statistic quantile over the collected durations (sorted,

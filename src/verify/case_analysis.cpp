@@ -498,7 +498,8 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
                                       const TimingCheck& check,
                                       const Scoap* scoap,
                                       const CaseAnalysisOptions& opt,
-                                      CarrierCache* cache) {
+                                      CarrierCache* cache,
+                                      const SearchPass& pass) {
   auto& reg = telemetry::Registry::current();
   auto& ctr_decisions = reg.counter("search.decisions");
   auto& ctr_backtracks = reg.counter("search.backtracks");
@@ -520,15 +521,16 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
     bool cls;
     ConstraintSystem::Mark mark;
     bool flipped;
-    std::int64_t id;  // decision span id, 1-based per search
+    std::int64_t id;  // decision span id, 1-based per check
   };
   std::vector<Decision> stack;
-  std::int64_t next_decision_id = 0;
+  auto next_decision_id = static_cast<std::int64_t>(pass.earlier_decisions);
 
   // Decision spans: each decision opens a subtree in the trace (every
   // nested event is stamped with the slot's `dec`) and is closed by
   // exactly one `decision_close` — "exhausted" when both classes failed,
-  // "witness"/"abandoned" for decisions still open when the search stops.
+  // "witness"/"abandoned"/"restart" for decisions still open when the
+  // search stops.
   // The offline analyzer relies on this bracketing being exact, in the
   // trace and in blackbox dumps alike.
   const auto close_open_decisions = [&stack, &slot](flight::Word outcome) {
@@ -581,6 +583,12 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
       h_conflict_depth.observe(stack.size());
       flight::record(flight::Kind::kConflict, {}, 0,
                      static_cast<std::int64_t>(stack.size()));
+      if (pass.stop_at_first_conflict) {
+        cs.pop_to(entry);
+        close_open_decisions(flight::kRestart);
+        out.result = CaseResult::kConflict;
+        return out;
+      }
       // Backtrack to the deepest unflipped decision and try its other class.
       bool resumed = false;
       while (!stack.empty()) {

@@ -62,6 +62,19 @@ enum class CaseResult : std::uint8_t {
   kViolation,    // test vector found (and validated by simulation)
   kNoViolation,  // search exhausted: no sigma-compatible assignment
   kAbandoned,    // backtrack budget exceeded (paper's 'A' entries)
+  kConflict,     // stopped at its first conflict (SearchPass)
+};
+
+/// How far one run of the search goes. The verifier runs a check's search
+/// in up to two passes around stem correlation (Verifier::run_check_stages);
+/// this is that schedule's handle, not a user option.
+struct SearchPass {
+  /// Stop at the first conflict, before any backtrack is taken, and return
+  /// kConflict with the system restored to the entry state.
+  bool stop_at_first_conflict = false;
+  /// Decisions an earlier pass of the same check took. This pass numbers
+  /// its decision spans after them, so span ids stay unique per check.
+  std::size_t earlier_decisions = 0;
 };
 
 struct CaseAnalysisOutcome {
@@ -74,16 +87,17 @@ struct CaseAnalysisOutcome {
 
 class CarrierCache;
 
-/// Runs the case analysis on a system already at a fixpoint (typically after
-/// global implications and stem correlation). `scoap` may be null. On
-/// kViolation the system is left at the satisfying state; otherwise it is
-/// restored to the entry state. `cache` (may be null) serves the dynamic
-/// carriers and dominators incrementally; the search behaves identically
-/// with or without it.
+/// Runs the case analysis on a system already at a fixpoint (after global
+/// implications, and on a second pass after stem correlation too). `scoap`
+/// may be null. On kViolation the system is left at the satisfying state;
+/// otherwise it is restored to the entry state. `cache` (may be null)
+/// serves the dynamic carriers and dominators incrementally; the search
+/// behaves identically with or without it.
 CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
                                       const TimingCheck& check,
                                       const Scoap* scoap,
                                       const CaseAnalysisOptions& opt = {},
-                                      CarrierCache* cache = nullptr);
+                                      CarrierCache* cache = nullptr,
+                                      const SearchPass& pass = {});
 
 }  // namespace waveck

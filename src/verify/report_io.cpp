@@ -264,6 +264,7 @@ std::string to_json(const Circuit& c,
   j.key("circuit").value(c.name());
   j.key("topological_delay").value(res.topological);
   j.key("floating_delay").value(res.delay);
+  j.key("floating_delay_upper").value(res.upper);
   j.key("exact").value(res.exact);
   j.key("probes").value(res.probes);
   j.key("total_backtracks").value(res.total_backtracks);

@@ -269,15 +269,16 @@ CheckReport Verifier::run_check_stages(
     }
   }
 
-  // Stage 3: stem correlation.
-  if (opt_.use_stem_correlation) {
+  // Stage 3: stem correlation, then the dominator loop re-run on the
+  // correlated domains. Returns true when it proves the check N.
+  const auto stem_correlation = [&] {
     prof::StageSpan stage("stem", stage_boundary);
     const auto stats = apply_stem_correlation(
         cs, rep.check, reconvergent_stems(), opt_.max_stems, cache);
     const bool closed =
         stats.proved_no_violation ||
         (opt_.use_dominators &&
-         [&] {  // re-run the dominator loop on the correlated domains
+         [&] {
            for (;;) {
              if (deadline_expired()) return false;
              if (apply_dominator_implications(cs, rep.check, cache) == 0)
@@ -288,43 +289,74 @@ CheckReport Verifier::run_check_stages(
            }
          }());
     stage.close(closed ? "N" : "P", &rep.stage_perf.stem);
-    if (closed) {
-      rep.after_stem = StageStatus::kNoViolation;
-      rep.conclusion = CheckConclusion::kNoViolation;
+    rep.after_stem =
+        closed ? StageStatus::kNoViolation : StageStatus::kPossible;
+    if (closed) rep.conclusion = CheckConclusion::kNoViolation;
+    return closed;
+  };
+
+  if (!opt_.use_case_analysis) {
+    if (opt_.use_stem_correlation && stem_correlation()) return rep;
+    rep.conclusion = deadline_expired() ? CheckConclusion::kAbandoned
+                                        : CheckConclusion::kPossible;
+    return rep;
+  }
+
+  // Stage 4: case analysis, each pass in its own case_analysis span.
+  const Scoap* sc = opt_.case_analysis.use_scoap ? &scoap() : nullptr;
+  CaseAnalysisOptions ca_opt = opt_.case_analysis;
+  ca_opt.deadline_ns = opt_.deadline_ns;
+  const auto search = [&](const SearchPass& pass) {
+    prof::StageSpan stage("case_analysis", stage_boundary);
+    const auto outcome =
+        run_case_analysis(cs, rep.check, sc, ca_opt, cache, pass);
+    switch (outcome.result) {
+      case CaseResult::kViolation:
+        rep.conclusion = CheckConclusion::kViolation;
+        rep.vector = outcome.vector;
+        break;
+      case CaseResult::kNoViolation:
+        rep.conclusion = CheckConclusion::kNoViolation;
+        break;
+      case CaseResult::kAbandoned:
+        rep.conclusion = CheckConclusion::kAbandoned;
+        break;
+      case CaseResult::kConflict:
+        break;  // still possible: stems and the full search follow
+    }
+    stage.close(outcome.result == CaseResult::kConflict
+                    ? "P"
+                    : to_string(rep.conclusion),
+                &rep.stage_perf.case_analysis);
+    return outcome;
+  };
+
+  // Stem correlation runs lazily, at the first conflict of the search (a
+  // deviation from Figure 4, which runs it before case analysis; see
+  // DESIGN.md). A first pass that reaches a witness without a conflict
+  // concludes V: stem correlation is sound, so it could not have closed
+  // the check, and after_stem reads P. A first pass that conflicts leaves
+  // the entry domains restored; stems run on them, and the full search
+  // starts afresh from the correlated domains, which is the search the
+  // paper order runs. A first pass stopped by the deadline or a cancel is
+  // 'A' and runs no stems.
+  SearchPass full;
+  if (opt_.use_stem_correlation) {
+    const auto first = search({.stop_at_first_conflict = true});
+    if (first.result != CaseResult::kConflict) {
+      if (first.result == CaseResult::kViolation) {
+        rep.after_stem = StageStatus::kPossible;
+      }
       return rep;
     }
-    rep.after_stem = StageStatus::kPossible;
+    if (stem_correlation()) return rep;
     if (deadline_expired()) {
       rep.conclusion = CheckConclusion::kAbandoned;
       return rep;
     }
+    full.earlier_decisions = first.decisions;
   }
-
-  // Stage 4: case analysis.
-  if (!opt_.use_case_analysis) {
-    rep.conclusion = CheckConclusion::kPossible;
-    return rep;
-  }
-  const Scoap* sc =
-      opt_.case_analysis.use_scoap ? &scoap() : nullptr;
-  prof::StageSpan case_analysis("case_analysis", stage_boundary);
-  CaseAnalysisOptions ca_opt = opt_.case_analysis;
-  ca_opt.deadline_ns = opt_.deadline_ns;
-  const auto outcome = run_case_analysis(cs, rep.check, sc, ca_opt, cache);
-  switch (outcome.result) {
-    case CaseResult::kViolation:
-      rep.conclusion = CheckConclusion::kViolation;
-      rep.vector = outcome.vector;
-      break;
-    case CaseResult::kNoViolation:
-      rep.conclusion = CheckConclusion::kNoViolation;
-      break;
-    case CaseResult::kAbandoned:
-      rep.conclusion = CheckConclusion::kAbandoned;
-      break;
-  }
-  case_analysis.close(to_string(rep.conclusion),
-                      &rep.stage_perf.case_analysis);
+  (void)search(full);
   return rep;
 }
 
@@ -411,6 +443,7 @@ Verifier::ExactDelayResult Verifier::exact_floating_delay(
     const std::function<SuiteReport(Time)>& probe) {
   ExactDelayResult res;
   res.topological = topological_delay(c_);
+  res.upper = res.topological;
   if (res.topological == Time::neg_inf()) return res;
 
   // Invariant: violation exists at every delta <= lo (witnessed), none at
@@ -434,6 +467,7 @@ Verifier::ExactDelayResult Verifier::exact_floating_delay(
       res.witness_output = r.violating_output;
     } else if (r.conclusion == CheckConclusion::kNoViolation) {
       hi = mid - 1;
+      res.upper = Time::min(res.upper, Time(hi));
     } else {
       // Abandoned/possible: cannot decide exactly; keep the sound bounds.
       res.exact = false;

@@ -7,6 +7,10 @@
 //   4. FAN-based case analysis,
 // recording the paper's Table 1 stage columns (P/N after each stage), the
 // backtrack count, the test vector if one exists, and wall-clock time.
+// Stage 3 runs lazily: the case analysis first searches until its first
+// conflict, and only a search that conflicts pays for stems (then searches
+// again from the correlated domains). A check whose search finds a witness
+// without a conflict reports after_stem P without running stems.
 //
 // Suite checks (one check per primary output) share a fixed plan and merge
 // discipline — plan_suite_checks() + SuiteMerger — used identically by the
@@ -226,6 +230,10 @@ class Verifier {
     Time topological = Time::neg_inf();  // STA bound, for comparison
     std::optional<std::vector<bool>> witness;
     std::optional<NetId> witness_output;
+    /// Largest delta not proved N: the exact delay lies in [delay, upper].
+    /// One below the smallest delta a probe proved N, or the topological
+    /// bound when no probe did. Equals `delay` when `exact`.
+    Time upper = Time::neg_inf();
     std::size_t probes = 0;
     std::size_t total_backtracks = 0;
     bool exact = true;  // false if some probe was abandoned

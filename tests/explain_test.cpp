@@ -1,6 +1,7 @@
 // Tests for src/explain: trace reader raw-token fidelity, analyzer search-
 // tree reconstruction + warnings, chrome/DOT exporters, the CLI driver, and
 // the trace-well-formedness fuzz property.
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <fstream>
@@ -16,6 +17,7 @@
 #include "explain/trace_reader.hpp"
 #include "fuzz/differential.hpp"
 #include "gen/generators.hpp"
+#include "gen/iscas_suite.hpp"
 #include "verify/verifier.hpp"
 
 namespace waveck::explain {
@@ -158,6 +160,76 @@ TEST(Analyzer, ReconstructsDecisionTreeWithAttribution) {
   EXPECT_EQ(top.front()->net, "b");
 }
 
+/// A check whose first search pass conflicts: decision 1 closes with
+/// "restart", stems run, and a second case_analysis span continues the
+/// decision ids with decision 2, which ends at the witness.
+const char* kRestartTrace =
+    R"({"ev":"check_begin","seq":1,"t":0,"w":0,"chk":1,"output":"y","delta":30}
+{"ev":"stage_begin","seq":2,"t":1000,"w":0,"chk":1,"stage":"case_analysis"}
+{"ev":"decision","seq":3,"t":2000,"w":0,"chk":1,"dec":1,"parent":-1,"net":"a","cls":true,"depth":1}
+{"ev":"propagate","seq":4,"t":3000,"w":0,"chk":1,"dec":1,"queue":2,"applications":6,"revisions":1,"status":"N"}
+{"ev":"conflict","seq":5,"t":4000,"w":0,"chk":1,"dec":1,"depth":1}
+{"ev":"decision_close","seq":6,"t":5000,"w":0,"chk":1,"dec":1,"outcome":"restart"}
+{"ev":"stage_end","seq":7,"t":6000,"w":0,"chk":1,"stage":"case_analysis","status":"P"}
+{"ev":"stage_begin","seq":8,"t":6000,"w":0,"chk":1,"stage":"stem"}
+{"ev":"stem","seq":9,"t":7000,"w":0,"chk":1,"net":"s","outcome":"both","narrowed":0}
+{"ev":"stage_end","seq":10,"t":8000,"w":0,"chk":1,"stage":"stem","status":"P"}
+{"ev":"stage_begin","seq":11,"t":8000,"w":0,"chk":1,"stage":"case_analysis"}
+{"ev":"decision","seq":12,"t":9000,"w":0,"chk":1,"dec":2,"parent":-1,"net":"b","cls":false,"depth":1}
+{"ev":"propagate","seq":13,"t":10000,"w":0,"chk":1,"dec":2,"queue":2,"applications":4,"revisions":1,"status":"P"}
+{"ev":"decision_close","seq":14,"t":11000,"w":0,"chk":1,"dec":2,"outcome":"witness"}
+{"ev":"stage_end","seq":15,"t":12000,"w":0,"chk":1,"stage":"case_analysis","status":"V"}
+{"ev":"check_end","seq":16,"t":13000,"w":0,"chk":1,"output":"y","conclusion":"V","seconds":0.000013,"vector":"01"}
+)";
+
+TEST(Analyzer, RestartedSearchKeepsBothCaseAnalysisSpans) {
+  std::istringstream in(kRestartTrace);
+  const TraceAnalysis a = analyze_trace(in);
+  EXPECT_TRUE(a.well_formed())
+      << (a.warnings.empty() ? "" : a.warnings.front());
+  ASSERT_EQ(a.checks.size(), 1u);
+  const CheckTree& c = a.checks.front();
+  ASSERT_EQ(c.stages.size(), 3u);
+  EXPECT_EQ(c.stages[0].stage, "case_analysis");
+  EXPECT_EQ(c.stages[0].status, "P");
+  EXPECT_EQ(c.stages[1].stage, "stem");
+  EXPECT_EQ(c.stages[2].stage, "case_analysis");
+  EXPECT_EQ(c.stages[2].status, "V");
+  EXPECT_EQ(c.n_decisions, 2u);
+  EXPECT_EQ(c.n_backtracks, 0u);
+  EXPECT_EQ(c.n_stems, 1u);
+  // The first pass's work was thrown away with it; the second pass's was
+  // not.
+  EXPECT_EQ(c.decisions.at(1).close, "restart");
+  EXPECT_EQ(c.decisions.at(1).wasted_gate_evals, 6u);
+  EXPECT_EQ(c.decisions.at(2).wasted_gate_evals, 0u);
+}
+
+TEST(Cli, WaterfallSumsAStageThatRunsTwiceInOneCheck) {
+  const std::string path = "explain_test_restart.trace.jsonl";
+  {
+    std::ofstream os(path);
+    os << kRestartTrace;
+  }
+  std::ostringstream out, err;
+  EXPECT_EQ(explain_cli_main({path}, out, err), 0) << err.str();
+  std::remove(path.c_str());
+  // One per-check sample of 5 us + 4 us, not two samples.
+  std::istringstream report(out.str());
+  std::string line;
+  bool found = false;
+  while (std::getline(report, line)) {
+    std::istringstream words(line);
+    std::string stage, total, count;
+    words >> stage >> total >> count;
+    if (stage != "case_analysis") continue;
+    found = true;
+    EXPECT_EQ(total, "0.000009s") << line;
+    EXPECT_EQ(count, "1") << line;
+  }
+  EXPECT_TRUE(found) << out.str();
+}
+
 TEST(Analyzer, FlagsOrphansAndUnclosedSpans) {
   // Event for a check that never began; decision_close for an unknown
   // decision; an unclosed check at EOF.
@@ -192,18 +264,17 @@ TEST(Analyzer, DoubleFlipAndDuplicateDecisionAreWarnings) {
 // Real traces: a verified circuit round-trips through the analyzer
 // ---------------------------------------------------------------------------
 
-TEST(Analyzer, RealTraceMatchesCheckReports) {
-  Circuit c = gen::carry_skip_adder(8, 4);
-  c.set_uniform_delay(DelaySpec::fixed(10));
-  Verifier v(c);
-  const auto exact = v.exact_floating_delay();
-
+/// Traces one check per output of `v`'s circuit at `delta`; the analyzer's
+/// trees must match the reports tally for tally. Returns how many checks
+/// searched twice (case_analysis, stem, case_analysis).
+std::size_t expect_trace_matches_reports(Verifier& v, Time delta) {
+  const Circuit& c = v.circuit();
   std::ostringstream trace;
   telemetry::JsonlTraceSink sink(trace);
   telemetry::set_trace_sink(&sink);
   std::vector<CheckReport> reports;
   for (const NetId o : c.outputs()) {
-    reports.push_back(v.check_output(o, exact.delay));
+    reports.push_back(v.check_output(o, delta));
   }
   telemetry::set_trace_sink(nullptr);
 
@@ -211,8 +282,10 @@ TEST(Analyzer, RealTraceMatchesCheckReports) {
   const TraceAnalysis a = analyze_trace(in);
   EXPECT_TRUE(a.well_formed())
       << (a.warnings.empty() ? "" : a.warnings.front());
-  ASSERT_EQ(a.checks.size(), reports.size());
-  for (std::size_t i = 0; i < reports.size(); ++i) {
+  EXPECT_EQ(a.checks.size(), reports.size());
+  std::size_t restarted = 0;
+  for (std::size_t i = 0; i < std::min(reports.size(), a.checks.size());
+       ++i) {
     const CheckTree& ct = a.checks[i];
     const CheckReport& r = reports[i];
     EXPECT_EQ(ct.output, c.net(r.check.output).name);
@@ -227,7 +300,37 @@ TEST(Analyzer, RealTraceMatchesCheckReports) {
       if (d.parent >= 0) EXPECT_TRUE(ct.decisions.contains(d.parent));
       EXPECT_FALSE(d.close.empty());
     }
+    std::vector<std::string> order;
+    for (const StageSpan& s : ct.stages) {
+      if (s.stage == "case_analysis" || s.stage == "stem") {
+        order.push_back(s.stage);
+      }
+    }
+    if (order.size() == 3) {
+      ++restarted;
+      EXPECT_EQ(order, (std::vector<std::string>{"case_analysis", "stem",
+                                                 "case_analysis"}));
+    } else if (r.conclusion == CheckConclusion::kViolation) {
+      // A witness without a conflict: one pass, no stems.
+      EXPECT_EQ(order, std::vector<std::string>{"case_analysis"});
+      EXPECT_EQ(r.stems_processed, 0u);
+      EXPECT_EQ(r.after_stem, StageStatus::kPossible);
+    }
   }
+  return restarted;
+}
+
+TEST(Analyzer, RealTraceMatchesCheckReports) {
+  Circuit c = gen::carry_skip_adder(8, 4);
+  c.set_uniform_delay(DelaySpec::fixed(10));
+  Verifier v(c);
+  (void)expect_trace_matches_reports(v, v.exact_floating_delay().delay);
+
+  // c499 at its exact delay: some output's first search pass conflicts.
+  const Circuit ecc = gen::prepare_for_experiment(gen::build_raw("c499"));
+  Verifier w(ecc);
+  EXPECT_GT(expect_trace_matches_reports(w, w.exact_floating_delay().delay),
+            0u);
 }
 
 TEST(Cli, TextReportCarriesStageQuantiles) {

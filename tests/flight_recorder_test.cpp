@@ -298,17 +298,24 @@ TEST(FlightRecorder, TraceAndDumpCarryTheSameEvents) {
   flight::reset_for_test();
   flight::set_enabled(true);
 
-  // At delta* c17 runs every stage: stems (one reconvergent stem carries
-  // the awkward name), propagations, and a FAN search ending V.
+  // At delta* c17 runs every event kind. With case analysis off it runs
+  // stems (one reconvergent stem carries the awkward name); with it on,
+  // propagations and a FAN search ending V. That search finds its witness
+  // without a conflict, so it runs no stems.
   Circuit c = c17_with_awkward_names();
   c.set_uniform_delay(DelaySpec::fixed(10));
+  VerifyOptions no_search;
+  no_search.use_case_analysis = false;
+  Verifier stems_only(c, no_search);
   Verifier v(c);
   std::stringstream trace;
   {
     telemetry::JsonlTraceSink sink(trace);
     telemetry::set_trace_sink(&sink);
+    const SuiteReport stemmed = stems_only.check_circuit(Time(30));
     const SuiteReport rep = v.check_circuit(Time(30));
     telemetry::set_trace_sink(nullptr);
+    ASSERT_EQ(stemmed.conclusion, CheckConclusion::kPossible);
     ASSERT_EQ(rep.conclusion, CheckConclusion::kViolation);
   }
   std::stringstream dump;

@@ -41,10 +41,12 @@ TEST_P(SuiteProfile, MatchesPaperTable1) {
 
   if (std::string(exp.closes) == "sta") {
     EXPECT_EQ(exact.delay, exact.topological) << exp.name;
-    // Witness row exists with few backtracks.
+    // Witness row exists with few backtracks; its stem column reads P
+    // whether or not its checks ran stems.
     const auto at = v.check_circuit(exact.delay);
     EXPECT_EQ(at.conclusion, CheckConclusion::kViolation) << exp.name;
     EXPECT_LE(at.backtracks, 32u) << exp.name;
+    EXPECT_EQ(at.after_stem, StageStatus::kPossible) << exp.name;
     return;
   }
 
@@ -72,6 +74,24 @@ TEST_P(SuiteProfile, MatchesPaperTable1) {
     EXPECT_FALSE(narrow) << exp.name;
     EXPECT_FALSE(gitd) << exp.name;
     EXPECT_TRUE(stems) << exp.name;
+    // The full pipeline runs stems only at the search's first conflict,
+    // and they still close the row before any backtrack: (P, P, N).
+    const auto row = v.check_circuit(delta);
+    EXPECT_EQ(row.conclusion, CheckConclusion::kNoViolation) << exp.name;
+    EXPECT_EQ(row.after_gitd, StageStatus::kPossible) << exp.name;
+    EXPECT_EQ(row.after_stem, StageStatus::kNoViolation) << exp.name;
+    EXPECT_EQ(row.backtracks, 0u) << exp.name;
+    bool stem_closed = false;
+    for (const CheckReport& r : row.per_output) {
+      if (r.after_stem != StageStatus::kNoViolation) continue;
+      stem_closed = true;
+      // Stems ran because the first search pass took decisions into a
+      // conflict; that pass took no backtrack.
+      EXPECT_GT(r.stems_processed, 0u) << exp.name;
+      EXPECT_GT(r.decisions, 0u) << exp.name;
+      EXPECT_EQ(r.backtracks, 0u) << exp.name;
+    }
+    EXPECT_TRUE(stem_closed) << exp.name;
   } else {
     FAIL() << "bad expectation " << want;
   }
@@ -79,6 +99,7 @@ TEST_P(SuiteProfile, MatchesPaperTable1) {
   // Witness row: a validated vector at the exact delay.
   const auto at = v.check_circuit(exact.delay);
   EXPECT_EQ(at.conclusion, CheckConclusion::kViolation) << exp.name;
+  EXPECT_EQ(at.after_stem, StageStatus::kPossible) << exp.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(

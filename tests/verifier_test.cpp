@@ -135,10 +135,66 @@ TEST(Verifier, AbandonedReportsUpperBoundOnly) {
   // Either it still resolves every probe without backtracks or it reports
   // inexactness -- never a wrong "exact" claim above the true delay.
   if (!res.exact) {
-    SUCCEED();
+    EXPECT_LE(res.delay, res.upper);
+    EXPECT_LE(res.upper, res.topological);
   } else {
     EXPECT_LE(res.delay, res.topological);
+    EXPECT_EQ(res.upper, res.delay);
   }
+}
+
+TEST(Verifier, WitnessWithoutConflictSkipsStems) {
+  // c17 at its exact delay: the search reaches the witness without a
+  // conflict, so stem correlation never runs. Its stage column reads P (a
+  // sound stage cannot close a check that has a witness), and the search
+  // is the one a run without stem correlation makes.
+  Circuit c = gen::c17();
+  c.set_uniform_delay(DelaySpec::fixed(10));
+  ASSERT_FALSE(Verifier(c).reconvergent_stems().empty());
+  const NetId out = *c.find_net("22");
+  const Time delta = exhaustive_floating_delay(c);
+  const auto rep = Verifier(c).check_output(out, delta);
+  ASSERT_EQ(rep.conclusion, CheckConclusion::kViolation);
+  EXPECT_EQ(rep.backtracks, 0u);
+  EXPECT_EQ(rep.stems_processed, 0u);
+  EXPECT_EQ(rep.after_stem, StageStatus::kPossible);
+
+  VerifyOptions no_stems;
+  no_stems.use_stem_correlation = false;
+  const auto plain = Verifier(c, no_stems).check_output(out, delta);
+  ASSERT_EQ(plain.conclusion, CheckConclusion::kViolation);
+  EXPECT_EQ(plain.after_stem, StageStatus::kNotRun);
+  EXPECT_EQ(rep.vector, plain.vector);
+  EXPECT_EQ(rep.decisions, plain.decisions);
+}
+
+TEST(Verifier, AbandonedProbesBracketTheDelay) {
+  const Circuit c = gen::hrapcenko(10);  // exact 60, topological 70
+  Verifier v(c);
+  const auto exact = v.exact_floating_delay();
+  ASSERT_TRUE(exact.exact);
+  EXPECT_EQ(exact.upper, exact.delay);
+
+  // Probes at lo <= delta <= hi conclude 'A'; the others are real.
+  const auto search = [&](std::int64_t lo, std::int64_t hi) {
+    return v.exact_floating_delay([&, lo, hi](Time delta) {
+      SuiteReport r = v.check_circuit(delta);
+      if (delta.value() >= lo && delta.value() <= hi) {
+        r.conclusion = CheckConclusion::kAbandoned;
+      }
+      return r;
+    });
+  };
+  // Probes 65 (N), 62 (A), 61 (A): the smallest delta proved N is 65.
+  const auto some = search(61, 63);
+  EXPECT_FALSE(some.exact);
+  EXPECT_EQ(some.delay, Time(60));
+  EXPECT_EQ(some.upper, Time(64));
+  // No probe proves N: the topological bound is all that is known.
+  const auto none = search(61, 70);
+  EXPECT_FALSE(none.exact);
+  EXPECT_EQ(none.delay, Time(60));
+  EXPECT_EQ(none.upper, Time(70));
 }
 
 TEST(Verifier, FormatVector) {

@@ -65,13 +65,14 @@ constexpr CommandSpec kCommands[] = {
     {"sta", "FILE [DELAYS]", "topological timing report"},
     {"check", "FILE DELTA [OUT] [DELAYS] [--json] [--canon] [--timeout-ms N]",
      "can a transition occur at/after DELTA?"},
-    {"delay", "FILE [DELAYS]", "exact floating-mode delay + witness"},
+    {"delay", "FILE [DELAYS] [--timeout-ms N]",
+     "exact floating-mode delay + witness"},
     {"outputs", "FILE [DELAYS]", "per-output pessimism table"},
     {"learn", "FILE", "static-learning statistics"},
     {"path", "FILE [DELAYS]", "exact delay + sensitizable path"},
     {"trans", "FILE V1 V2 [DELAYS]", "two-vector transition delays"},
     {"mc", "FILE [SAMPLES] [DELAYS]", "Monte-Carlo delay lower bound"},
-    {"json", "FILE [DELAYS]", "exact delay report as JSON"},
+    {"json", "FILE [DELAYS] [--timeout-ms N]", "exact delay report as JSON"},
     {"profile", "FILE [OUT] [DELAYS] [--seconds S]",
      "CPU-profile the delay search; write speedscope JSON + folded stacks"},
     {"gen", "NAME [v]", "emit a generated circuit as .bench (or Verilog)"},
@@ -164,17 +165,21 @@ int check_exit_code(CheckConclusion c) {
   }
 }
 
+/// --timeout-ms N: an absolute deadline on the monotonic clock (0 = none);
+/// checks that outlive it conclude kAbandoned.
+std::uint64_t deadline_after(std::uint64_t timeout_ms) {
+  return timeout_ms == 0
+             ? 0
+             : telemetry::monotonic_ns() + timeout_ms * 1'000'000ull;
+}
+
 int cmd_check(const Circuit& c, const std::string& delta_str,
               const std::string& out_name, bool json, bool canon,
               std::uint64_t timeout_ms) {
   const std::int64_t d = std::stoll(delta_str);
   c.check_time_range(d);
   const Time delta(d);
-  // --timeout-ms N: absolute deadline on the monotonic clock; checks that
-  // outlive it conclude kAbandoned (exit code 3: nothing proven).
-  const std::uint64_t deadline =
-      timeout_ms == 0 ? 0
-                      : telemetry::monotonic_ns() + timeout_ms * 1'000'000ull;
+  const std::uint64_t deadline = deadline_after(timeout_ms);
   Verifier v(c);
   v.set_deadline_ns(deadline);
   if (!out_name.empty()) {
@@ -219,15 +224,27 @@ int cmd_check(const Circuit& c, const std::string& delta_str,
   return check_exit_code(rep.conclusion);
 }
 
-int cmd_delay(const Circuit& c) {
+/// The exact-delay search of `delay` and `json`. With `timeout_ms` > 0 the
+/// whole search shares one deadline; probes that outlive it conclude 'A'.
+Verifier::ExactDelayResult exact_delay(const Circuit& c,
+                                       std::uint64_t timeout_ms) {
+  const std::uint64_t deadline = deadline_after(timeout_ms);
   Verifier v(c);
+  v.set_deadline_ns(deadline);
   sched::CheckScheduler s(v, {.jobs = g_jobs});
-  const auto res = s.exact_floating_delay();
+  s.token().arm_deadline(deadline);
+  return s.exact_floating_delay();
+}
+
+int cmd_delay(const Circuit& c, std::uint64_t timeout_ms) {
+  const auto res = exact_delay(c, timeout_ms);
   std::cout << "topological delay: " << res.topological << "\n";
   std::cout << (res.exact ? "exact floating delay: "
                           : "floating delay bound (search abandoned): ")
-            << res.delay << "  (" << res.probes << " probes, "
-            << res.total_backtracks << " backtracks)\n";
+            << res.delay;
+  if (!res.exact) std::cout << ", at most " << res.upper;
+  std::cout << "  (" << res.probes << " probes, " << res.total_backtracks
+            << " backtracks)\n";
   if (res.witness) {
     std::cout << "witness: " << format_vector(*res.witness) << "\n";
     const auto sim = simulate_floating(c, *res.witness);
@@ -316,10 +333,8 @@ int cmd_mc(const Circuit& c, std::size_t samples) {
   return 0;
 }
 
-int cmd_json(const Circuit& c) {
-  Verifier v(c);
-  sched::CheckScheduler s(v, {.jobs = g_jobs});
-  std::cout << to_json(c, s.exact_floating_delay()) << "\n";
+int cmd_json(const Circuit& c, std::uint64_t timeout_ms) {
+  std::cout << to_json(c, exact_delay(c, timeout_ms)) << "\n";
   return 0;
 }
 
@@ -703,18 +718,19 @@ int dispatch(const std::vector<std::string>& args) {
     return i < args.size() ? args[i] : "";
   };
   if (cmd == "sta") return cmd_sta(load(file, arg(2)));
-  if (cmd == "check") {
-    // Positionals after FILE: DELTA [OUT] [DELAYS]; flags anywhere.
-    // --canon implies --json: the canonical report (no timing, no metrics
-    // snapshot) is the byte-comparable form the serve layer also emits.
+  if (cmd == "check" || cmd == "delay" || cmd == "json") {
+    // Positionals after FILE (check: DELTA [OUT] [DELAYS]; delay, json:
+    // [DELAYS]); flags anywhere. --canon implies --json: the canonical
+    // report (no timing, no metrics snapshot) is the byte-comparable form
+    // the serve layer also emits.
     std::vector<std::string> pos;
     bool json = false;
     bool canon = false;
     std::uint64_t timeout_ms = 0;
     for (std::size_t i = 2; i < args.size(); ++i) {
-      if (args[i] == "--json") {
+      if (cmd == "check" && args[i] == "--json") {
         json = true;
-      } else if (args[i] == "--canon") {
+      } else if (cmd == "check" && args[i] == "--canon") {
         json = canon = true;
       } else if (args[i] == "--timeout-ms") {
         if (i + 1 >= args.size()) return usage();
@@ -726,6 +742,12 @@ int dispatch(const std::vector<std::string>& args) {
       } else {
         pos.push_back(args[i]);
       }
+    }
+    if (cmd == "delay") {
+      return cmd_delay(load(file, pos.empty() ? "" : pos[0]), timeout_ms);
+    }
+    if (cmd == "json") {
+      return cmd_json(load(file, pos.empty() ? "" : pos[0]), timeout_ms);
     }
     if (pos.empty()) return usage();
     return cmd_check(load(file, pos.size() > 2 ? pos[2] : ""), pos[0],
@@ -746,7 +768,6 @@ int dispatch(const std::vector<std::string>& args) {
     return cmd_profile(load(file, pos.size() > 1 ? pos[1] : ""),
                        pos.empty() ? "" : pos[0], seconds);
   }
-  if (cmd == "delay") return cmd_delay(load(file, arg(2)));
   if (cmd == "outputs") return cmd_outputs(load(file, arg(2)));
   if (cmd == "learn") return cmd_learn(load(file, ""));
   if (cmd == "path") return cmd_path(load(file, arg(2)));
@@ -759,7 +780,6 @@ int dispatch(const std::vector<std::string>& args) {
         args.size() > 2 ? std::stoull(args[2]) : std::size_t{1000};
     return cmd_mc(load(file, arg(3)), samples);
   }
-  if (cmd == "json") return cmd_json(load(file, arg(2)));
   if (cmd == "gen") return cmd_gen(file, arg(2) == "v");
   return usage();
 }

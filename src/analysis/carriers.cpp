@@ -72,14 +72,17 @@ std::vector<NetId> timing_dominators(const Circuit& c,
                                      const TimingCheck& check,
                                      const CarrierSet& carriers) {
   DominatorScratch scratch;
-  return timing_dominators(c, check, carriers, scratch);
+  bool t_reachable = false;
+  return timing_dominators(c, check, carriers, scratch, t_reachable);
 }
 
 std::vector<NetId> timing_dominators(const Circuit& c,
                                      const TimingCheck& check,
                                      const CarrierSet& carriers,
-                                     DominatorScratch& scratch) {
+                                     DominatorScratch& scratch,
+                                     bool& t_reachable) {
   const NetId s = check.output;
+  t_reachable = false;
   if (!carriers.is_carrier(s)) return {};
 
   // Vertices of Psi': carrier nets in reverse-circuit-topological order
@@ -109,25 +112,37 @@ std::vector<NetId> timing_dominators(const Circuit& c,
     }
   }
 
-  const std::size_t n_verts = verts.size() + 1;  // + T
-  const std::size_t t_idx = verts.size();
+  std::vector<NetId> doms;
+  t_reachable = dominator_chain(c, verts, /*to_t=*/true, scratch, doms);
+  // No complete carrier path: no extra implication beyond s itself.
+  if (!t_reachable) doms.push_back(s);
+  return doms;
+}
+
+bool dominator_chain(const Circuit& c, const std::vector<NetId>& verts,
+                     bool to_t, DominatorScratch& scratch,
+                     std::vector<NetId>& chain) {
+  const std::size_t n_verts = verts.size() + (to_t ? 1 : 0);
+  assert(n_verts >= 2);
+  const std::size_t sink = n_verts - 1;
   std::vector<std::size_t>& vert_index = scratch.vert_index;
-  vert_index.assign(c.num_nets(), SIZE_MAX);
+  if (vert_index.size() != c.num_nets()) {
+    vert_index.assign(c.num_nets(), SIZE_MAX);
+  }
   for (std::size_t i = 0; i < verts.size(); ++i) {
     vert_index[verts[i].index()] = i;
   }
 
-  // Predecessor lists: edge y -> x for every carrier input x of y's driving
-  // gate; edge y -> T when y is a primary input of the circuit. The inner
+  // Predecessor lists: edge y -> x for every region input x of y's driving
+  // gate; edge y -> T when y is undriven (a primary input). The inner
   // vectors keep their capacity across calls via the scratch.
   std::vector<std::vector<std::size_t>>& preds = scratch.preds;
   if (preds.size() < n_verts) preds.resize(n_verts);
   for (std::size_t i = 0; i < n_verts; ++i) preds[i].clear();
   for (std::size_t yi = 0; yi < verts.size(); ++yi) {
-    const NetId y = verts[yi];
-    const GateId drv = c.net(y).driver;
+    const GateId drv = c.net(verts[yi]).driver;
     if (!drv.valid()) {
-      preds[t_idx].push_back(yi);
+      if (to_t) preds[sink].push_back(yi);
       continue;
     }
     for (NetId x : c.gate(drv).ins) {
@@ -135,13 +150,14 @@ std::vector<NetId> timing_dominators(const Circuit& c,
       if (xi != SIZE_MAX) preds[xi].push_back(yi);
     }
   }
+  for (NetId v : verts) vert_index[v.index()] = SIZE_MAX;
 
   // Cooper-Harvey-Kennedy iterative idom; a single pass suffices on a DAG
   // processed in topological order.
   constexpr std::size_t kUndef = SIZE_MAX;
   std::vector<std::size_t>& idom = scratch.idom;
   idom.assign(n_verts, kUndef);
-  idom[0] = 0;  // S = s
+  idom[0] = 0;  // the source
   auto intersect = [&](std::size_t a, std::size_t b) {
     while (a != b) {
       while (a > b) a = idom[a];
@@ -152,24 +168,21 @@ std::vector<NetId> timing_dominators(const Circuit& c,
   for (std::size_t v = 1; v < n_verts; ++v) {
     std::size_t best = kUndef;
     for (std::size_t p : preds[v]) {
-      if (idom[p] == kUndef) continue;  // unreachable from S
+      if (idom[p] == kUndef) continue;  // unreachable from the source
       best = best == kUndef ? p : intersect(best, p);
     }
     idom[v] = best;
   }
 
-  std::vector<NetId> doms;
-  if (idom[t_idx] == kUndef) {
-    // No complete carrier path: no extra implication beyond s itself.
-    doms.push_back(s);
-    return doms;
-  }
-  for (std::size_t v = idom[t_idx];; v = idom[v]) {
-    doms.push_back(verts[v]);
+  if (idom[sink] == kUndef) return false;
+  const std::size_t first = chain.size();
+  for (std::size_t v = idom[sink];; v = idom[v]) {
+    chain.push_back(verts[v]);
     if (v == 0) break;
   }
-  std::reverse(doms.begin(), doms.end());  // s first, outward
-  return doms;
+  std::reverse(chain.begin() + static_cast<std::ptrdiff_t>(first),
+               chain.end());  // source first, outward
+  return true;
 }
 
 std::size_t apply_dominator_restrictions(ConstraintSystem& cs,

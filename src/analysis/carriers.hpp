@@ -55,9 +55,9 @@ struct CarrierSet {
 [[nodiscard]] CarrierSet dynamic_carriers(const ConstraintSystem& cs,
                                           const TimingCheck& check);
 
-/// Reusable buffers for `timing_dominators`: a repeat caller (the search
-/// loop recomputes dominators thousands of times per check) avoids
-/// reallocating the per-call vertex/edge scratch.
+/// Reusable buffers for the dominator computations: a repeat caller (the
+/// CarrierCache's full runs and regional re-tests) avoids reallocating the
+/// per-call vertex/edge scratch. `vert_index` is all SIZE_MAX between calls.
 struct DominatorScratch {
   std::vector<NetId> verts;
   std::vector<std::size_t> vert_index;
@@ -67,15 +67,31 @@ struct DominatorScratch {
 
 /// Timing dominators: the nets on every S->T path of the carrier DAG,
 /// ordered from s outward (s itself first). Works for both carrier kinds.
+/// Only carrier membership is read, never a distance. When s is a carrier
+/// but no carrier path reaches T, the list is {s}; when s is none, empty.
 [[nodiscard]] std::vector<NetId> timing_dominators(const Circuit& c,
                                                    const TimingCheck& check,
                                                    const CarrierSet& carriers);
 
-/// As above, reusing `scratch` across calls. Identical output.
+/// As above, reusing `scratch` across calls. Identical output; also reports
+/// whether some carrier path reaches T.
 [[nodiscard]] std::vector<NetId> timing_dominators(const Circuit& c,
                                                    const TimingCheck& check,
                                                    const CarrierSet& carriers,
-                                                   DominatorScratch& scratch);
+                                                   DominatorScratch& scratch,
+                                                   bool& t_reachable);
+
+/// The Cooper-Harvey-Kennedy pass behind `timing_dominators`, over one
+/// region of the carrier DAG. `verts` lists the region's carrier nets in a
+/// topological order of Psi' (an edge runs from a net to each carrier input
+/// of its driver, so downstream before upstream), its source first. The
+/// sink is the virtual T, fed by the undriven nets, when `to_t`, and
+/// `verts.back()` otherwise. Returns false when no path of the region
+/// reaches the sink; otherwise appends the sink's dominators to `chain`,
+/// the source first and the sink left out.
+bool dominator_chain(const Circuit& c, const std::vector<NetId>& verts,
+                     bool to_t, DominatorScratch& scratch,
+                     std::vector<NetId>& chain);
 
 /// One round of Corollary 1: intersects every dynamic timing dominator d
 /// with (0|delta-k..+inf, 1|delta-k..+inf), k = dynamic distance of d.

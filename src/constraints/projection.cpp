@@ -3,7 +3,10 @@
 #include <cassert>
 
 namespace waveck {
-namespace {
+// External linkage in a named namespace, so that `--profile`
+// (backtrace_symbols reads the dynamic symbol table only) names the
+// per-gate-type projections.
+namespace gate_projection {
 
 /// Narrows `dst` to `dst ∩ with`; records the change.
 bool narrow_to(LtInterval& dst, const LtInterval& with) {
@@ -316,11 +319,12 @@ ProjectionDelta project_mux(DelaySpec d, AbstractSignal& out,
   return delta;
 }
 
-}  // namespace
+}  // namespace gate_projection
 
 ProjectionDelta project_gate(GateType type, DelaySpec delay,
                              AbstractSignal& out,
                              std::span<AbstractSignal> ins) {
+  using namespace gate_projection;
   assert(ins.size() <= kMaxGateFanin);
   switch (type) {
     case GateType::kNot:

@@ -11,7 +11,10 @@
 #include "sim/floating_sim.hpp"
 
 namespace waveck {
-namespace {
+// The search's helpers have external linkage in a named namespace so that
+// `--profile` (backtrace_symbols reads the dynamic symbol table only) names
+// their frames.
+namespace fan_search {
 
 bool decided(const ConstraintSystem& cs, NetId n) {
   return cs.domain(n).single_class() || cs.domain(n).is_bottom();
@@ -37,14 +40,14 @@ struct Weights {
 class FanGuide {
  public:
   FanGuide(const ConstraintSystem& cs, const TimingCheck& check,
-           const Scoap* scoap, const CaseAnalysisOptions& opt,
-           CarrierCache* cache)
+           const Scoap* scoap, const HeadLines& heads,
+           const CaseAnalysisOptions& opt, CarrierCache* cache)
       : c_(cs.circuit()),
         check_(check),
         scoap_(scoap),
         opt_(opt),
         cache_(cache),
-        heads_(compute_head_lines(cs.circuit())) {
+        heads_(heads) {
     // Net processing level for the objective backtrace: topo index of the
     // driver (+1); PIs are 0. Fixed for the circuit, so computed once.
     net_level_.assign(c_.num_nets(), 0);
@@ -452,7 +455,7 @@ class FanGuide {
   const Scoap* scoap_;
   CaseAnalysisOptions opt_;
   CarrierCache* cache_;
-  HeadLines heads_;
+  const HeadLines& heads_;
   std::vector<std::vector<std::uint8_t>> phase1_region_member_;
 
   // Reused backtrace arenas (pick runs once per search decision).
@@ -492,14 +495,16 @@ std::vector<bool> extract_vector(const ConstraintSystem& cs) {
   return v;
 }
 
-}  // namespace
+}  // namespace fan_search
 
 CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
                                       const TimingCheck& check,
                                       const Scoap* scoap,
+                                      const HeadLines& heads,
                                       const CaseAnalysisOptions& opt,
                                       CarrierCache* cache,
                                       const SearchPass& pass) {
+  using namespace fan_search;
   auto& reg = telemetry::Registry::current();
   auto& ctr_decisions = reg.counter("search.decisions");
   auto& ctr_backtracks = reg.counter("search.backtracks");
@@ -512,9 +517,21 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
   // and the depth the heartbeat shows.
   flight::Slot& slot = flight::self();
 
+  // Every decision level is marked in the cache too, so that a pop hands
+  // back its carriers and dominators instead of recomputing them.
+  const auto push = [&] {
+    const ConstraintSystem::Mark m = cs.push_state();
+    if (cache != nullptr) cache->push_level(m);
+    return m;
+  };
+  const auto pop = [&](ConstraintSystem::Mark m) {
+    cs.pop_to(m);
+    if (cache != nullptr) cache->pop_level(m);
+  };
+
   CaseAnalysisOutcome out;
-  const auto entry = cs.push_state();
-  FanGuide guide(cs, check, scoap, opt, cache);
+  const auto entry = push();
+  FanGuide guide(cs, check, scoap, heads, opt, cache);
 
   struct Decision {
     NetId net;
@@ -556,7 +573,7 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
 
   for (;;) {
     if (stop_requested()) {
-      cs.pop_to(entry);
+      pop(entry);
       close_open_decisions(flight::kAbandoned);
       out.result = CaseResult::kAbandoned;
       return out;
@@ -584,7 +601,7 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
       flight::record(flight::Kind::kConflict, {}, 0,
                      static_cast<std::int64_t>(stack.size()));
       if (pass.stop_at_first_conflict) {
-        cs.pop_to(entry);
+        pop(entry);
         close_open_decisions(flight::kRestart);
         out.result = CaseResult::kConflict;
         return out;
@@ -594,7 +611,7 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
       while (!stack.empty()) {
         Decision& d = stack.back();
         if (d.flipped) {
-          cs.pop_to(d.mark);
+          pop(d.mark);
           slot.dec.store(d.id, std::memory_order_relaxed);
           flight::record(flight::Kind::kDecisionClose, {}, 0, 0,
                          flight::kExhausted);
@@ -603,7 +620,7 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
                          std::memory_order_relaxed);
           continue;
         }
-        cs.pop_to(d.mark);
+        pop(d.mark);
         d.cls = !d.cls;
         d.flipped = true;
         ++out.backtracks;
@@ -616,7 +633,7 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
                        0, static_cast<std::int64_t>(stack.size()),
                        d.cls ? 1 : 0);
         if (out.backtracks > opt.max_backtracks) {
-          cs.pop_to(entry);
+          pop(entry);
           close_open_decisions(flight::kAbandoned);
           out.result = CaseResult::kAbandoned;
           return out;
@@ -634,7 +651,7 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
       }
       if (resumed) continue;
       if (stack.empty()) {
-        cs.pop_to(entry);
+        pop(entry);
         out.result = CaseResult::kNoViolation;
         return out;
       }
@@ -649,7 +666,7 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
       consistent = false;
       continue;
     }
-    const Decision d{pick->first, pick->second, cs.push_state(), false,
+    const Decision d{pick->first, pick->second, push(), false,
                      ++next_decision_id};
     stack.push_back(d);
     ++out.decisions;

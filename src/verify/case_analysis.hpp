@@ -86,16 +86,20 @@ struct CaseAnalysisOutcome {
 };
 
 class CarrierCache;
+struct HeadLines;
 
 /// Runs the case analysis on a system already at a fixpoint (after global
 /// implications, and on a second pass after stem correlation too). `scoap`
-/// may be null. On kViolation the system is left at the satisfying state;
-/// otherwise it is restored to the entry state. `cache` (may be null)
-/// serves the dynamic carriers and dominators incrementally; the search
-/// behaves identically with or without it.
+/// may be null; `heads` are the circuit's head lines (compute_head_lines).
+/// On kViolation the system is left at the satisfying state; otherwise it
+/// is restored to the entry state. `cache` (may be null) serves the dynamic
+/// carriers and dominators incrementally, and the search marks its
+/// decision levels there; the search behaves identically with or without
+/// it.
 CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
                                       const TimingCheck& check,
                                       const Scoap* scoap,
+                                      const HeadLines& heads,
                                       const CaseAnalysisOptions& opt = {},
                                       CarrierCache* cache = nullptr,
                                       const SearchPass& pass = {});

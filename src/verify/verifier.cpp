@@ -36,7 +36,9 @@ StageStatus aggregate(StageStatus a, StageStatus b) {
 }  // namespace
 
 Verifier::Verifier(const Circuit& c, VerifyOptions opt)
-    : c_(c), opt_(opt) {}
+    : c_(c),
+      opt_(opt),
+      heads_(compute_head_lines(c)) {}
 
 void Verifier::prepare_shared() {
   (void)learning();  // the empty LearningResult when learning is disabled
@@ -309,7 +311,7 @@ CheckReport Verifier::run_check_stages(
   const auto search = [&](const SearchPass& pass) {
     prof::StageSpan stage("case_analysis", stage_boundary);
     const auto outcome =
-        run_case_analysis(cs, rep.check, sc, ca_opt, cache, pass);
+        run_case_analysis(cs, rep.check, sc, heads_, ca_opt, cache, pass);
     switch (outcome.result) {
       case CaseResult::kViolation:
         rep.conclusion = CheckConclusion::kViolation;

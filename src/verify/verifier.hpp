@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "analysis/carriers.hpp"
+#include "analysis/head_lines.hpp"
 #include "analysis/learning.hpp"
 #include "analysis/scoap.hpp"
 #include "prof/perf_counters.hpp"
@@ -290,6 +291,8 @@ class Verifier {
 
   const Circuit& c_;
   VerifyOptions opt_;
+  // FAN head lines: circuit-only, built once and read by every search.
+  HeadLines heads_;
   std::optional<LearningResult> learning_;
   std::optional<Scoap> scoap_;
   std::optional<std::vector<NetId>> stems_;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/head_lines.hpp"
 #include "analysis/scoap.hpp"
 #include "gen/generators.hpp"
 #include "netlist/topo_delay.hpp"
@@ -29,7 +30,7 @@ TEST(CaseAnalysis, FindsVectorAtExactDelay) {
   ConstraintSystem cs = make_system(c, s, Time(60));
   ASSERT_FALSE(cs.inconsistent());
   const Scoap sc = compute_scoap(c);
-  const auto out = run_case_analysis(cs, check, &sc);
+  const auto out = run_case_analysis(cs, check, &sc, compute_head_lines(c));
   ASSERT_EQ(out.result, CaseResult::kViolation);
   // Independent validation.
   const auto sim = simulate_floating(c, out.vector);
@@ -46,7 +47,7 @@ TEST(CaseAnalysis, ProvesNoViolationAboveExactDelay) {
   ConstraintSystem cs = testing::checked_system(c, s, Time(51));
   ASSERT_FALSE(cs.inconsistent()) << "narrowing alone must not close it";
   const Scoap sc = compute_scoap(c);
-  const auto out = run_case_analysis(cs, check, &sc);
+  const auto out = run_case_analysis(cs, check, &sc, compute_head_lines(c));
   EXPECT_EQ(out.result, CaseResult::kNoViolation);
   EXPECT_GE(out.backtracks, 1u);
 }
@@ -60,7 +61,7 @@ TEST(CaseAnalysis, CarrySkipVectorAtExactDelay) {
   ConstraintSystem cs = make_system(c, cout, exact);
   ASSERT_FALSE(cs.inconsistent());
   const Scoap sc = compute_scoap(c);
-  const auto out = run_case_analysis(cs, check, &sc);
+  const auto out = run_case_analysis(cs, check, &sc, compute_head_lines(c));
   ASSERT_EQ(out.result, CaseResult::kViolation);
   const auto sim = simulate_floating(c, out.vector);
   EXPECT_GE(sim.settle[cout.index()], exact);
@@ -74,7 +75,7 @@ TEST(CaseAnalysis, RestoresStateOnNoViolation) {
   std::vector<AbstractSignal> snapshot;
   for (NetId n : c.all_nets()) snapshot.push_back(cs.domain(n));
   const TimingCheck check{s, Time(51)};
-  const auto out = run_case_analysis(cs, check, nullptr);
+  const auto out = run_case_analysis(cs, check, nullptr, compute_head_lines(c));
   ASSERT_EQ(out.result, CaseResult::kNoViolation);
   for (NetId n : c.all_nets()) {
     EXPECT_EQ(cs.domain(n), snapshot[n.index()]) << c.net(n).name;
@@ -93,7 +94,8 @@ TEST(CaseAnalysis, AbandonsOnTinyBudget) {
   for (NetId n : c.all_nets()) snapshot.push_back(cs.domain(n));
   CaseAnalysisOptions opt;
   opt.max_backtracks = 0;
-  const auto out = run_case_analysis(cs, check, nullptr, opt);
+  const auto out =
+      run_case_analysis(cs, check, nullptr, compute_head_lines(c), opt);
   ASSERT_EQ(out.result, CaseResult::kAbandoned);
   EXPECT_GE(out.backtracks, 1u);
   for (NetId n : c.all_nets()) {
@@ -114,7 +116,8 @@ TEST(CaseAnalysis, HeuristicVariantsAllCorrect) {
         opt.three_phase = three_phase;
         const TimingCheck check{s, Time(60)};
         ConstraintSystem cs = make_system(c, s, Time(60));
-        const auto out = run_case_analysis(cs, check, &sc, opt);
+        const auto out =
+            run_case_analysis(cs, check, &sc, compute_head_lines(c), opt);
         EXPECT_EQ(out.result, CaseResult::kViolation)
             << "sum=" << sum_mode << " scoap=" << use_scoap
             << " phases=" << three_phase;
@@ -130,7 +133,8 @@ TEST(CaseAnalysis, WorksWithoutDominatorsInSearch) {
   opt.dominators_in_search = false;
   const TimingCheck check{s, Time(60)};
   ConstraintSystem cs = make_system(c, s, Time(60));
-  const auto out = run_case_analysis(cs, check, nullptr, opt);
+  const auto out =
+      run_case_analysis(cs, check, nullptr, compute_head_lines(c), opt);
   EXPECT_EQ(out.result, CaseResult::kViolation);
 }
 
@@ -144,7 +148,7 @@ TEST(CaseAnalysis, C17ExactDelayVectors) {
     const TimingCheck check{o, exact};
     ConstraintSystem cs = make_system(c, o, exact);
     if (cs.inconsistent()) continue;
-    const auto out = run_case_analysis(cs, check, &sc);
+    const auto out = run_case_analysis(cs, check, &sc, compute_head_lines(c));
     if (out.result == CaseResult::kViolation) {
       found = true;
       const auto sim = simulate_floating(c, out.vector);
